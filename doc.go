@@ -12,7 +12,8 @@
 // document order — in a single pass over the raw document bytes, without
 // building a DOM. Queries are compiled to minimal deterministic automata
 // simulated with a sparse depth-stack, and the byte stream is classified in
-// 64-byte blocks by a word-parallel (SWAR) pipeline that fast-forwards
+// 64-byte blocks by a batched pipeline (AVX2 where the CPU has it,
+// word-parallel SWAR otherwise) that fast-forwards
 // through irrelevant input: leaves, rejected subtrees, exhausted siblings,
 // and — for queries beginning with a descendant selector — everything up to
 // the next occurrence of the leading label.

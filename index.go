@@ -12,11 +12,11 @@ import (
 
 // IndexedDocument is a document classified once and queried many times: the
 // whole-document mask planes (quote, in-string, structural, and bracket
-// masks, one 64-bit word per 64-byte block) built by one batched SWAR sweep,
+// masks, one 64-bit word per 64-byte block) built by one batched sweep,
 // plus the padded tail block. RunIndexed evaluations serve every per-block
-// mask from the index instead of re-running classification — the dominant
-// cost of a run — so the per-query cost drops to automaton simulation and
-// the few scalar verifications.
+// mask from the index instead of classifying the document window by window
+// as a cold run does, so the per-query cost drops to automaton simulation
+// and the few scalar verifications.
 //
 // An IndexedDocument is immutable and safe for concurrent use; any number of
 // RunIndexed calls may share it, from any number of goroutines. It aliases
@@ -33,7 +33,7 @@ type IndexedDocument struct {
 	planes *classifier.Planes
 }
 
-// Index classifies data once with the batched SWAR kernels and returns the
+// Index classifies data once with the batched kernels and returns the
 // reusable mask index. Two whole-document screens run on the fresh planes
 // and reject input that cannot be well-formed JSON — a document ending
 // inside a string, or one whose brackets (outside strings) do not balance —

@@ -15,6 +15,10 @@ func TestCheckSimd(t *testing.T) {
 			BatchKernelGBps: batch, BuildPlanesGBps: planes,
 		}
 	}
+	walk := func(r SWARKernelResult, gbps float64) SWARKernelResult {
+		r.StreamWalkGBps = gbps
+		return r
+	}
 	cases := []struct {
 		name    string
 		kernels []SWARKernelResult
@@ -30,6 +34,12 @@ func TestCheckSimd(t *testing.T) {
 		{"planes below floor", []SWARKernelResult{
 			row("a", "swar", 1, 1), row("a", "avx2", 10, 1.2),
 		}, "plane build"},
+		{"stream walk clears its floor", []SWARKernelResult{
+			walk(row("a", "swar", 1, 0.6), 0.5), walk(row("a", "avx2", 10, 2), 1.6),
+		}, ""},
+		{"stream walk below floor", []SWARKernelResult{
+			walk(row("a", "swar", 1, 0.6), 0.5), walk(row("a", "avx2", 10, 2), 0.7),
+		}, "stream walk"},
 		{"one dataset of two fails", []SWARKernelResult{
 			row("a", "swar", 1, 0.6), row("a", "avx2", 10, 2),
 			row("b", "swar", 1, 0.6), row("b", "avx2", 2.4, 2),

@@ -3,122 +3,63 @@ package classifier
 import "rsonpath/internal/simd"
 
 // SkipToClose is the depth classifier (§4.4). Starting at absolute offset
-// from with relative depth 1 (one unmatched open character of the given
-// kind), it fast-forwards the stream to the closing character that brings
-// the relative depth to 0 and returns its absolute position.
+// from with relative depth 1 (one unmatched open character), it
+// fast-forwards the stream to the closing character that brings the
+// relative depth to 0 and returns its absolute position.
 //
-// Only two characters are tracked — the matching open/close pair — marked
-// with two CmpEq8 passes per block rather than the full structural lookup.
-// The paper's block-skip heuristic is applied: when a block holds fewer
-// closing characters than the current relative depth, the depth cannot
-// reach zero inside it, so the whole block is accounted for with two
-// popcounts and skipped.
+// The depth is tracked on the stream's bracket planes, both kinds at once:
+// on well-formed input that reaches the same closer as the paper's scan of
+// the open kind's pair, since subtrees of the other kind nest properly. The
+// paper's block-skip heuristic applies: when a block holds fewer closers
+// than the current depth, the depth cannot reach zero inside it, so the
+// whole block is accounted for with two popcounts. Skipped blocks are never
+// loaded: the scan walks plane words, classifying further windows as it
+// runs out, and only the landing block is materialized.
 //
-// ok is false when the input ends before the subtree closes (malformed
-// document). The stream is left on the block containing the returned
-// position; the caller resumes structural classification with
-// Structural.Reset.
+// ok is false when the input ends before the subtree closes, or when the
+// closer reached is of the other kind than open — both prove the document
+// malformed. (Other mismatched interleavings may land elsewhere than a
+// single-kind scan would, within the best-effort contract of DESIGN.md §9.)
+// The stream is left on the block containing the returned position; the
+// caller resumes structural classification with Structural.Reset.
 func SkipToClose(s *Stream, from int, open byte) (closePos int, ok bool) {
-	if s.planes != nil {
-		return skipToClosePlanes(s, from)
-	}
-	cl := matchingClose(open)
+	// from may precede the current block when the caller's iterator peeked
+	// ahead (everything at stake, in particular the sought closer, lies at
+	// or after the current block), or lie in a later block; never look
+	// before either.
+	s.settle()
+	idx := max(s.blockStart, from) / simd.BlockSize
+	skip := simd.BitsBelow(max(from-idx*simd.BlockSize, 0))
 	depth := 1
-	first := true
-	for {
-		om, cm := simd.CmpEq8Pair(s.Block(), open, cl)
-		notString := ^s.InString()
-		om &= notString
-		cm &= notString
-		if first {
-			// from may precede the current block when the caller's
-			// iterator peeked ahead; everything at stake (in particular
-			// the sought closer, which is always a recognised structural
-			// character) lies at or after the current block.
-			if rel := from - s.BlockStart(); rel > 0 {
-				low := simd.BitsBelow(rel)
-				om &^= low
-				cm &^= low
+	for ; s.cover(idx); idx = s.hi {
+		opens, closes := s.w.Opens, s.w.Closes
+		for i := idx - s.lo; i < len(opens); i++ {
+			om, cm := opens[i]&^skip, closes[i]&^skip
+			skip = 0
+			// Heuristic: depth cannot drop to zero if there are fewer
+			// closers in the block than the current depth.
+			if simd.Popcount(cm) < depth {
+				depth += simd.Popcount(om) - simd.Popcount(cm)
+				continue
 			}
-			first = false
-		}
-		// Heuristic: depth cannot drop to zero if there are fewer closers
-		// in the block than the current depth.
-		if simd.Popcount(cm) < depth {
-			depth += simd.Popcount(om) - simd.Popcount(cm)
-			if !s.Advance() {
-				return 0, false
+			// Walk the closers in order, adding the openers that precede
+			// each.
+			accounted := uint64(0)
+			for ; cm != 0; cm = simd.ClearLowest(cm) {
+				bit := simd.TrailingZeros(cm)
+				below := simd.BitsBelow(bit)
+				depth += simd.Popcount(om & below &^ accounted)
+				accounted = below | 1<<uint(bit)
+				if depth--; depth == 0 {
+					pos := (s.lo+i)*simd.BlockSize + bit
+					s.JumpTo(pos)
+					return pos, s.block[bit] == matchingClose(open)
+				}
 			}
-			continue
-		}
-		// Walk the closers in order, adding the openers that precede each.
-		accounted := uint64(0)
-		for cm != 0 {
-			bit := simd.TrailingZeros(cm)
-			below := simd.BitsBelow(bit)
-			depth += simd.Popcount(om & below &^ accounted)
-			accounted = below | 1<<uint(bit)
-			depth--
-			if depth == 0 {
-				return s.BlockStart() + bit, true
-			}
-			cm = simd.ClearLowest(cm)
-		}
-		depth += simd.Popcount(om &^ accounted)
-		if !s.Advance() {
-			return 0, false
+			depth += simd.Popcount(om &^ accounted)
 		}
 	}
-}
-
-// skipToClosePlanes is SkipToClose over a plane-backed stream. The relative
-// depth is tracked on the precomputed bracket planes — both bracket kinds at
-// once, which reaches the same closer on well-formed input since subtrees of
-// either kind nest properly (on input that interleaves mismatched brackets
-// the landing point may differ from the single-kind scan, within the
-// engine's best-effort malformed-input contract, DESIGN.md §9). Skipped
-// blocks are never loaded at all: the scan walks the planes and only the
-// landing block is materialized, via the O(1) plane-backed JumpTo.
-func skipToClosePlanes(s *Stream, from int) (int, bool) {
-	p := s.planes
-	idx := s.blockStart / simd.BlockSize
-	// from may lie in the block after the current one when the caller's
-	// iterator peeked ahead (see SkipToClose); never look before it.
-	if fi := from / simd.BlockSize; fi > idx {
-		idx = fi
-	}
-	depth := 1
-	first := true
-	for ; idx < len(p.Opens); idx++ {
-		om, cm := p.Opens[idx], p.Closes[idx]
-		if first {
-			if rel := from - idx*simd.BlockSize; rel > 0 {
-				low := simd.BitsBelow(rel)
-				om &^= low
-				cm &^= low
-			}
-			first = false
-		}
-		if simd.Popcount(cm) < depth {
-			depth += simd.Popcount(om) - simd.Popcount(cm)
-			continue
-		}
-		accounted := uint64(0)
-		for cm != 0 {
-			bit := simd.TrailingZeros(cm)
-			below := simd.BitsBelow(bit)
-			depth += simd.Popcount(om & below &^ accounted)
-			accounted = below | 1<<uint(bit)
-			depth--
-			if depth == 0 {
-				pos := idx*simd.BlockSize + bit
-				s.JumpTo(pos)
-				return pos, true
-			}
-			cm = simd.ClearLowest(cm)
-		}
-		depth += simd.Popcount(om &^ accounted)
-	}
+	s.markExhausted()
 	return 0, false
 }
 
@@ -131,6 +72,7 @@ func skipToClosePlanes(s *Stream, from int) (int, bool) {
 func ScanToClose(data []byte, from int, open byte) (closePos int, ok bool) {
 	s := NewStream(data[from:])
 	p, ok := SkipToClose(s, 0, open)
+	s.Release()
 	return from + p, ok
 }
 

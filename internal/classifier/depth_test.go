@@ -7,9 +7,11 @@ import (
 )
 
 // refSkipToClose is the scalar oracle: position of the closer that brings
-// relative depth to zero, ignoring characters inside strings.
+// relative depth to zero, ignoring characters inside strings. Like the
+// depth classifier it counts both bracket kinds, which on well-formed input
+// reaches the same closer as counting only the open kind's pair, and
+// rejects a landing closer of the other kind.
 func refSkipToClose(data []byte, from int, open byte) (int, bool) {
-	cl := matchingClose(open)
 	_, inString := refQuoteScan(data)
 	depth := 1
 	for i := from; i < len(data); i++ {
@@ -17,12 +19,12 @@ func refSkipToClose(data []byte, from int, open byte) (int, bool) {
 			continue
 		}
 		switch data[i] {
-		case open:
+		case '{', '[':
 			depth++
-		case cl:
+		case '}', ']':
 			depth--
 			if depth == 0 {
-				return i, true
+				return i, data[i] == matchingClose(open)
 			}
 		}
 	}
@@ -63,8 +65,9 @@ func TestSkipToCloseIgnoresStrings(t *testing.T) {
 }
 
 func TestSkipToCloseIgnoresOtherBracketKind(t *testing.T) {
-	// Skipping an object tracks only braces; brackets inside are invisible,
-	// exactly as in §3.3 "we need to track only two characters".
+	// §3.3 tracks only the skipped kind's two characters; the planes track
+	// both kinds, which on well-formed input lands on the same closer since
+	// the other kind's subtrees nest properly inside.
 	assertSkip(t, `{"a":[1,2,{"b":3}]}`, 1, '{')
 	assertSkip(t, `[{"a":1},{"b":[2]}]`, 1, '[')
 }

@@ -223,28 +223,6 @@ func isWhitespace(b byte) bool {
 	return b == ' ' || b == '\t' || b == '\n' || b == '\r'
 }
 
-// JumpTo repositions the stream onto the block containing pos, skipping the
-// classification of every block in between. pos must be outside any string
-// and not escaped; the quote state at the block's start is reconstructed
-// from that anchor by scanning the at most BlockSize-1 bytes before pos. A
-// plane-backed stream skips the reconstruction entirely — every block's
-// masks are already known — which makes jumps O(1).
-func (s *Stream) JumpTo(pos int) {
-	blockStart := pos - pos%simd.BlockSize
-	if blockStart == s.blockStart && !s.exhausted {
-		return
-	}
-	if s.planes == nil {
-		s.quotes = reconstructQuoteState(s.in, blockStart, pos)
-	}
-	s.blockStart = blockStart
-	s.exhausted = false
-	s.loadBlock()
-	if s.blockLen == 0 {
-		s.markExhausted()
-	}
-}
-
 // reconstructQuoteState derives the quote state at blockStart from an
 // anchor position pos (outside any string, not escaped) in the same block.
 // The first byte of the block is escaped iff an odd backslash run ends just

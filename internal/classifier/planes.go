@@ -5,21 +5,20 @@ import (
 	"rsonpath/internal/simd"
 )
 
-// Planes is a whole-document mask index: one 64-bit word per 64-byte block
-// and per classifier output, built in a single batched sweep over the bytes
-// (BuildPlanes) and then reusable by any number of runs. It is the
-// precomputed form of everything a Stream derives block by block — the
-// quote classifier's masks plus the structural classifier's per-symbol
-// masks — so a plane-backed Stream serves classification by lookup instead
-// of recomputation.
+// Planes is a mask index: one 64-bit word per 64-byte block and per
+// classifier output — the quote classifier's masks plus the structural
+// classifier's per-symbol masks — built in one batched sweep over the
+// bytes. BuildPlanes builds it for a whole document, reusable by any number
+// of runs; a cold Stream fills one window of it at a time. Either way the
+// classifiers read their masks by lookup.
 //
-// Bit i of word j covers byte j*64+i, exactly like the live masks. The
+// Bit i of word j covers byte j*64+i (of the window, in a Stream's). The
 // symbol planes (Opens, Closes, Commas, Colons) already have in-string
 // positions masked out; the structural classifier's always-on brace mask is
 // Opens|Closes, and the bracket planes double as the depth classifier's
 // inputs.
 //
-// A Planes is immutable after BuildPlanes and safe for concurrent use.
+// A Planes built by BuildPlanes is immutable and safe for concurrent use.
 type Planes struct {
 	Quote    []uint64 // unescaped double quotes
 	InString []uint64 // inside a string (incl. opening, excl. closing quote)
@@ -42,59 +41,75 @@ type Planes struct {
 func (p *Planes) Blocks() int { return len(p.Quote) }
 
 // BuildPlanes classifies data once with the batched kernels and returns the
-// mask planes. The sweep is three passes over cache-resident state: the
-// fused raw sweep (simd.BatchRawMasks, hardware-accelerated where the CPU
-// allows) touches the document bytes exactly once; a sequential carry
-// pass — quote parity and escapes cannot be parallelized across blocks —
-// resolves the escape-dependent masks in place; and a vectorized
-// simd.AndNot pass then clears in-string positions from the four symbol
-// planes.
-//
-// Plane geometry is kernel-friendly by construction: one backing array,
-// 32-byte aligned (simd.AlignedWords), with every plane's capacity rounded
-// up to whole vector lanes (simd.RoundWords) so the vector passes can run
-// lane-rounded lengths with no scalar tail — the padding words belong to
-// the plane's own reserved region and stay zero. The alignment/rounding
+// mask planes: classify over a window that is the whole document. Plane
+// geometry is kernel-friendly by construction: one backing array, 32-byte
+// aligned (simd.AlignedWords), with every plane's capacity rounded up to
+// whole vector lanes (simd.RoundWords) so every plane starts aligned for
+// the vector kernels (PopcountWords) — the padding words belong to the
+// plane's own reserved region and stay zero. The alignment/rounding
 // invariants are pinned by TestPlanesAlignment.
 func BuildPlanes(data []byte) *Planes {
-	n := (len(data) + simd.BlockSize - 1) / simd.BlockSize
+	n := blocksOf(len(data))
 	rn := simd.RoundWords(n)
-	backing := simd.AlignedWords(6 * rn)
 	p := &Planes{Len: len(data)}
 	if n == 0 {
 		return p
 	}
-	p.Quote = backing[0*rn : 0*rn+n : 1*rn]
-	p.InString = backing[1*rn : 1*rn+n : 2*rn]
-	p.Opens = backing[2*rn : 2*rn+n : 3*rn]
-	p.Closes = backing[3*rn : 3*rn+n : 4*rn]
-	p.Commas = backing[4*rn : 4*rn+n : 5*rn]
-	p.Colons = backing[5*rn : 5*rn+n : 6*rn]
+	p.carve(simd.AlignedWords(6*rn), n, rn)
+	var qs quoteState
+	var tail simd.Block
+	classify(data, p, &qs, &tail)
+	p.EndInString = qs.prevInString != 0
+	p.EndEscaped = qs.prevEscaped != 0
+	return p
+}
+
+// blocksOf returns the number of blocks covering n bytes.
+func blocksOf(n int) int { return (n + simd.BlockSize - 1) / simd.BlockSize }
+
+// carve points p's six planes at consecutive regions of backing, each
+// stride words long (a whole number of vector lanes), and sets their
+// lengths to n words.
+func (p *Planes) carve(backing []uint64, n, stride int) {
+	p.Quote = backing[0*stride : 0*stride+n : 1*stride]
+	p.InString = backing[1*stride : 1*stride+n : 2*stride]
+	p.Opens = backing[2*stride : 2*stride+n : 3*stride]
+	p.Closes = backing[3*stride : 3*stride+n : 4*stride]
+	p.Commas = backing[4*stride : 4*stride+n : 5*stride]
+	p.Colons = backing[5*stride : 5*stride+n : 6*stride]
+}
+
+// classify fills p's planes, each one word per block of data, continuing
+// from quote state qs and leaving qs at the end of data. It is the one
+// classification path behind both BuildPlanes and a cold Stream's windows,
+// two passes over cache-resident state: the fused raw sweep
+// (simd.BatchRawMasks, hardware-accelerated where the CPU allows) touches the
+// document bytes exactly once, a partial final block going through tail;
+// then one sequential carry pass — quote parity and escapes cannot be
+// parallelized across blocks — resolves the escape-dependent masks in place
+// and clears the in-string positions from the four symbol planes while the
+// block's in-string word is in a register.
+func classify(data []byte, p *Planes, qs *quoteState, tail *simd.Block) {
+	n := len(p.Quote)
 	// Raw sweep. The two escape-dependent planes temporarily hold their raw
 	// precursors — backslashes in InString, raw quotes in Quote — which the
 	// carry pass below consumes and overwrites in place.
 	full := simd.BatchRawMasks(data, p.InString, p.Quote, p.Opens, p.Closes, p.Commas, p.Colons)
 	if full < n {
-		var tail simd.Block
-		simd.LoadBlock(&tail, data[full*simd.BlockSize:], input.Pad)
+		simd.LoadBlock(tail, data[full*simd.BlockSize:], input.Pad)
 		p.InString[full], p.Quote[full], p.Opens[full], p.Closes[full],
-			p.Commas[full], p.Colons[full] = simd.RawMasks(&tail)
+			p.Commas[full], p.Colons[full] = simd.RawMasks(tail)
 	}
-	var qs quoteState
-	for i := 0; i < n; i++ {
-		p.Quote[i], p.InString[i] = qs.classifyMasks(p.InString[i], p.Quote[i])
+	quote, inString := p.Quote[:n], p.InString[:n]
+	opens, closes, commas, colons := p.Opens[:n], p.Closes[:n], p.Commas[:n], p.Colons[:n]
+	for i := range quote {
+		q, in := qs.classifyMasks(inString[i], quote[i])
+		quote[i], inString[i] = q, in
+		opens[i] &^= in
+		closes[i] &^= in
+		commas[i] &^= in
+		colons[i] &^= in
 	}
-	p.EndInString = qs.prevInString != 0
-	p.EndEscaped = qs.prevEscaped != 0
-	// Symbol pre-masking, vectorized: extending every slice to the
-	// lane-rounded capacity keeps the kernels free of scalar tails; the
-	// padding words are zero on both sides, so they stay zero.
-	inStr := p.InString[:rn]
-	simd.AndNot(p.Opens[:rn], inStr)
-	simd.AndNot(p.Closes[:rn], inStr)
-	simd.AndNot(p.Commas[:rn], inStr)
-	simd.AndNot(p.Colons[:rn], inStr)
-	return p
 }
 
 // BracketBalance returns the total number of opening and closing brackets

@@ -8,36 +8,33 @@ import (
 	"rsonpath/internal/simd"
 )
 
-// checkPlanesEquivalence asserts that BuildPlanes produces, for every block
-// of data, exactly the masks a per-block Stream classifies on the fly — the
-// batched sweep and the incremental pipeline must be bit-identical whatever
-// the bytes, or an IndexedDocument run could diverge from a plain run. The
-// stream side runs over in, which presents the same bytes (possibly through
-// a buffered window, exercising refill boundaries).
+// checkPlanesEquivalence asserts that BuildPlanes agrees with the scalar
+// quote oracle and with the per-block kernels on every block of data, and
+// that a cold Stream over in — the same bytes, possibly through a buffered
+// window, exercising refill boundaries — serves exactly those masks as it
+// classifies window after window and carries the quote state across them.
+// An IndexedDocument run and a plain run could otherwise diverge.
 func checkPlanesEquivalence(t *testing.T, data []byte, in input.Input, label string) {
 	t.Helper()
 	p := BuildPlanes(data)
 	if want := (len(data) + simd.BlockSize - 1) / simd.BlockSize; p.Blocks() != want {
 		t.Fatalf("%s: %d plane blocks, want %d", label, p.Blocks(), want)
 	}
+	quotes, inString := refQuoteScan(data)
+	for i := range data {
+		w, bit := i/simd.BlockSize, uint(i%simd.BlockSize)
+		if p.Quote[w]>>bit&1 == 1 != quotes[i] || p.InString[w]>>bit&1 == 1 != inString[i] {
+			t.Fatalf("%s: planes disagree with the scalar quote oracle at byte %d", label, i)
+		}
+	}
 	s := NewStreamInput(in)
+	defer s.Release()
 	idx := 0
 	for !s.Exhausted() {
 		if idx >= p.Blocks() {
 			t.Fatalf("%s: stream visited block %d past the planes' %d", label, idx, p.Blocks())
 		}
-		if s.quoteMask != p.Quote[idx] || s.inString != p.InString[idx] {
-			t.Fatalf("%s block %d: stream quote=%#x inString=%#x, planes quote=%#x inString=%#x",
-				label, idx, s.quoteMask, s.inString, p.Quote[idx], p.InString[idx])
-		}
-		opens, closes := simd.BracketMasks(s.block)
-		commas := simd.CmpEq8(s.block, ',')
-		colons := simd.CmpEq8(s.block, ':')
-		notStr := ^s.inString
-		if p.Opens[idx] != opens&notStr || p.Closes[idx] != closes&notStr ||
-			p.Commas[idx] != commas&notStr || p.Colons[idx] != colons&notStr {
-			t.Fatalf("%s block %d: symbol planes diverge from per-block masks", label, idx)
-		}
+		checkStreamBlock(t, s, p, label)
 		idx++
 		if !s.Advance() {
 			break
@@ -46,11 +43,34 @@ func checkPlanesEquivalence(t *testing.T, data []byte, in input.Input, label str
 	if idx != p.Blocks() {
 		t.Fatalf("%s: stream visited %d blocks, planes hold %d", label, idx, p.Blocks())
 	}
-	if want := s.postQuotes.prevInString != 0; p.EndInString != want && len(data) > 0 {
+	if want := s.carry.prevInString != 0; p.EndInString != want && len(data) > 0 {
 		t.Fatalf("%s: EndInString=%v, stream carry says %v", label, p.EndInString, want)
 	}
-	if want := s.postQuotes.prevEscaped != 0; p.EndEscaped != want && len(data) > 0 {
+	if want := s.carry.prevEscaped != 0; p.EndEscaped != want && len(data) > 0 {
 		t.Fatalf("%s: EndEscaped=%v, stream carry says %v", label, p.EndEscaped, want)
+	}
+}
+
+// checkStreamBlock asserts that the stream's current block masks equal the
+// planes' word for that block, and that the symbol planes equal the
+// per-block kernels over the block's bytes with in-string positions masked.
+func checkStreamBlock(t *testing.T, s *Stream, p *Planes, label string) {
+	t.Helper()
+	idx := s.BlockStart() / simd.BlockSize
+	if s.quoteMask != p.Quote[idx] || s.inString != p.InString[idx] {
+		t.Fatalf("%s block %d: stream quote=%#x inString=%#x, planes quote=%#x inString=%#x",
+			label, idx, s.quoteMask, s.inString, p.Quote[idx], p.InString[idx])
+	}
+	if s.braces != p.Opens[idx]|p.Closes[idx] || s.commaM != p.Commas[idx] || s.colonM != p.Colons[idx] {
+		t.Fatalf("%s block %d: stream symbol masks diverge from the planes", label, idx)
+	}
+	opens, closes := simd.BracketMasks(s.block)
+	commas := simd.CmpEq8(s.block, ',')
+	colons := simd.CmpEq8(s.block, ':')
+	notStr := ^s.inString
+	if p.Opens[idx] != opens&notStr || p.Closes[idx] != closes&notStr ||
+		p.Commas[idx] != commas&notStr || p.Colons[idx] != colons&notStr {
+		t.Fatalf("%s block %d: symbol planes diverge from per-block masks", label, idx)
 	}
 }
 
@@ -160,9 +180,10 @@ func TestPlanesAlignment(t *testing.T) {
 	}
 }
 
-// FuzzPlanesEquivalence asserts the batched sweep is bit-identical to the
-// per-block pipeline for arbitrary bytes — not just valid JSON: the planes
-// feed the same classifiers, so they must agree even on garbage.
+// FuzzPlanesEquivalence asserts the whole-document sweep is bit-identical
+// to the scalar oracle, the per-block kernels and a sequentially walked
+// cold stream for arbitrary bytes — not just valid JSON: the planes feed
+// the same classifiers, so they must agree even on garbage.
 func FuzzPlanesEquivalence(f *testing.F) {
 	for _, data := range planesCorpus() {
 		f.Add(data)

@@ -1,18 +1,26 @@
 // Package classifier implements the paper's vectorised classification
-// pipeline (§4) on top of the SWAR primitives in internal/simd: the quote
+// pipeline (§4) on top of the kernels in internal/simd: the quote
 // classifier (§4.2), the structural classifier with comma/colon toggling
 // (§4.1, §4.3), the depth classifier used for skipping (§4.4), the
 // skip-to-label seeker (§3.3 "skipping to a label"), the general raw
 // classification method (§4.1), and the multi-classifier pipeline that ties
 // them together (§4.5).
 //
+// There is one classification path. The dispatched six-mask sweep
+// (simd.BatchRawMasks, AVX2 where the CPU has it) followed by the
+// sequential quote carry turns a run of blocks into mask planes — one word
+// per block for quotes, in-string positions, brackets, commas and colons
+// (classify). BuildPlanes runs it over a whole document once; a cold Stream
+// runs it over lazily filled, growing windows of blocks, so every run
+// classifies with the same kernels whether or not the document was indexed.
+//
 // All classifiers operate on a shared Stream, which plays the role of the
-// paper's always-on core quote classifier: it advances through the input
-// block by block, maintaining escape and in-string state, and every
-// higher-level classifier reads the current block and its quote masks from
-// it. Switching between the structural and depth classifiers therefore
-// needs no copying — they borrow the Stream exactly as the paper's stop and
-// resume methods hand over the quote classifier's internal structures.
+// paper's always-on core quote classifier: it carries the escape and
+// in-string state from window to window, and every higher-level classifier
+// reads plane words from it. Switching between the structural and depth
+// classifiers therefore needs no copying — they borrow the Stream exactly as
+// the paper's stop and resume methods hand over the quote classifier's
+// internal structures.
 package classifier
 
 import "rsonpath/internal/simd"
@@ -57,8 +65,9 @@ func (q *quoteState) findEscaped(backslash uint64) uint64 {
 	return (evenBits ^ invertMask) & followsEscape
 }
 
-// classifyBlock computes the quote masks for one block and advances the
-// state to the block's end. It returns:
+// classifyMasks computes the quote masks for one block from its raw
+// backslash and quote masks and advances the state to the block's end. It
+// returns:
 //
 //	quotes:   unescaped double-quote characters;
 //	inString: positions inside a JSON string, including the opening quote

@@ -51,9 +51,28 @@ func TestRawStructuralSetIsNonOverlapping(t *testing.T) {
 	assertRawCorrect(t, c, f)
 }
 
+// The paper's structural lookup tables (§4.1). JSON structural characters
+// and their nibble decomposition:
+//
+//	{ 0x7B   } 0x7D   [ 0x5B   ] 0x5D   : 0x3A   , 0x2C
+//
+// Acceptance groups: ⟨{5,7},{B,D}⟩ → 1, ⟨{2},{C}⟩ → 2, ⟨{3},{A}⟩ → 3.
+// The groups are non-overlapping, so classification is
+// utab[upper] == ltab[lower], with sentinels 0xFE/0xFF that never match.
+var (
+	structuralUtab = simd.NibbleTable{
+		0xFE, 0xFE, 0x02, 0x03, 0xFE, 0x01, 0xFE, 0x01,
+		0xFE, 0xFE, 0xFE, 0xFE, 0xFE, 0xFE, 0xFE, 0xFE,
+	}
+	structuralLtab = simd.NibbleTable{
+		0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+		0xFF, 0xFF, 0x03, 0x01, 0x02, 0x01, 0xFF, 0xFF,
+	}
+)
+
 func TestRawStructuralMatchesPaperTables(t *testing.T) {
-	// The hand-written tables in structural.go and the generic builder must
-	// classify identically (the concrete group ids may differ).
+	// The paper's hand-written tables and the generic builder must classify
+	// identically (the concrete group ids may differ).
 	f := in("{}[]:,")
 	c := BuildRaw(f)
 	r := rand.New(rand.NewSource(19))

@@ -2,73 +2,27 @@ package classifier
 
 import "rsonpath/internal/simd"
 
-// The paper's structural lookup tables (§4.1). JSON structural characters
-// and their nibble decomposition:
-//
-//	{ 0x7B   } 0x7D   [ 0x5B   ] 0x5D   : 0x3A   , 0x2C
-//
-// Acceptance groups: ⟨{5,7},{B,D}⟩ → 1, ⟨{2},{C}⟩ → 2, ⟨{3},{A}⟩ → 3.
-// The groups are non-overlapping, so classification is
-// utab[upper] == ltab[lower], with sentinels 0xFE/0xFF that never match.
-var (
-	structuralUtab = simd.NibbleTable{
-		0xFE, 0xFE, 0x02, 0x03, 0xFE, 0x01, 0xFE, 0x01,
-		0xFE, 0xFE, 0xFE, 0xFE, 0xFE, 0xFE, 0xFE, 0xFE,
-	}
-	structuralLtab = simd.NibbleTable{
-		0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
-		0xFF, 0xFF, 0x03, 0x01, 0x02, 0x01, 0xFF, 0xFF,
-	}
-)
-
-// Toggle masks (§4.1): commas and colons do not share their upper nibble
-// with any other accepted symbol, so XOR-ing their utab entry turns them
-// off and on independently.
-const (
-	toggleCommaUpper = 0x2
-	toggleColonUpper = 0x3
-	commaGroup       = 0x02
-	colonGroup       = 0x03
-)
-
 // Structural is the structural classifier plus the within-block cursor that
 // backs the engine's iterator (§4.3). By default it recognises only the
 // opening and closing characters, which amounts to skipping leaves (§3.3);
 // commas and colons are toggled on demand.
 //
 // Toggling implementation: the paper XORs the upper lookup table and
-// reclassifies the block. In scalar Go reclassification costs a pass over
-// the block, and the engine toggles at every element boundary, so instead
-// the classifier keeps the always-on brace mask per block (one composed
-// table pass) and computes the comma and colon masks lazily (one SWAR
-// comparison pass each, at most once per block); a toggle then merely
-// changes which masks are OR-ed together. The visible semantics — newly
-// enabled characters appear only from the consumption point onward — are
-// identical (see DESIGN.md).
+// reclassifies the block. Here the stream's planes already hold one
+// in-string-masked word per symbol class and block (the brackets, the
+// commas, the colons), so a toggle merely changes which words are OR-ed
+// together. The visible semantics — newly enabled characters appear only
+// from the consumption point onward — are identical (see DESIGN.md).
 //
 // Consumption model: bits strictly below consumed (relative to the current
 // block) are gone for good; Next advances consumed past the bit it returns;
 // Peek does not.
 type Structural struct {
 	s        *Stream
-	bracesM  uint64
-	commaM   uint64
-	colonM   uint64
-	commaOK  bool // commaM computed for the current block
-	colonOK  bool // colonM computed for the current block
-	consumed int  // relative index below which the current block is consumed
+	consumed int // relative index below which the current block is consumed
 	commas   bool
 	colons   bool
 }
-
-// bracesTable is the composed lookup for the always-on symbols: the paper's
-// utab with both the comma and the colon group toggled off.
-var bracesTable = func() simd.ByteTable {
-	utab := structuralUtab
-	utab[toggleCommaUpper] ^= commaGroup
-	utab[toggleColonUpper] ^= colonGroup
-	return simd.CompileNibbleEq(&utab, &structuralLtab)
-}()
 
 // NewStructural creates a structural classifier over s, starting at
 // absolute offset from. The stream's current block must contain from (or
@@ -79,42 +33,14 @@ func NewStructural(s *Stream, from int) *Structural {
 	return c
 }
 
-// onBlock recomputes the per-block masks after the stream advanced. On a
-// plane-backed stream every mask is a lookup (the planes are pre-masked by
-// the in-string positions), so the lazy comma/colon computation is moot.
-func (c *Structural) onBlock() {
-	if p := c.s.planes; p != nil {
-		if idx := c.s.blockStart / simd.BlockSize; idx < len(p.Opens) {
-			c.bracesM = p.Opens[idx] | p.Closes[idx]
-			c.commaM = p.Commas[idx]
-			c.colonM = p.Colons[idx]
-		} else {
-			c.bracesM, c.commaM, c.colonM = 0, 0, 0
-		}
-		c.commaOK, c.colonOK = true, true
-		return
-	}
-	c.bracesM = simd.ClassifyBytes(c.s.Block(), &bracesTable) &^ c.s.InString()
-	c.commaOK, c.colonOK = false, false
-}
-
-// active returns the enabled-symbol mask of the current block, computing
-// the lazy comma/colon masks if needed.
+// active returns the enabled-symbol mask of the current block.
 func (c *Structural) active() uint64 {
-	m := c.bracesM
+	m := c.s.braces
 	if c.commas {
-		if !c.commaOK {
-			c.commaM = simd.CmpEq8(c.s.Block(), ',') &^ c.s.InString()
-			c.commaOK = true
-		}
-		m |= c.commaM
+		m |= c.s.commaM
 	}
 	if c.colons {
-		if !c.colonOK {
-			c.colonM = simd.CmpEq8(c.s.Block(), ':') &^ c.s.InString()
-			c.colonOK = true
-		}
-		m |= c.colonM
+		m |= c.s.colonM
 	}
 	return m
 }
@@ -124,13 +50,12 @@ func (c *Structural) active() uint64 {
 // the pipeline (§4.5), used after the depth classifier or the label seeker
 // has moved the stream.
 func (c *Structural) Reset(from int) {
-	// Advance (sequentially, keeping the quote state exact) until the
-	// current block contains from; a stale within-block cursor would
-	// otherwise replay events between the block start and from.
-	for c.s.BlockStart()+simd.BlockSize <= from {
-		if !c.s.Advance() {
-			break
-		}
+	c.s.settle()
+	// Move (sequentially, keeping the quote state exact) to the block
+	// containing from; a stale within-block cursor would otherwise replay
+	// events between the block start and from.
+	if !c.s.exhausted && c.s.BlockStart()+simd.BlockSize <= from {
+		c.s.moveTo(from / simd.BlockSize)
 	}
 	rel := from - c.s.BlockStart()
 	if rel < 0 {
@@ -140,7 +65,6 @@ func (c *Structural) Reset(from int) {
 		rel = simd.BlockSize
 	}
 	c.consumed = rel
-	c.onBlock()
 }
 
 // Position returns the absolute offset from which the next scan proceeds:
@@ -186,16 +110,16 @@ func (c *Structural) Peek() (pos int, ch byte, ok bool) {
 // scan locates the next enabled bit at or after the consumption point,
 // crossing blocks as needed.
 func (c *Structural) scan() (rel int, ch byte, ok bool) {
+	c.s.settle()
 	for {
 		m := c.active() &^ simd.BitsBelow(c.consumed)
 		if m != 0 {
 			bit := simd.TrailingZeros(m)
-			return bit, c.s.Block()[bit], true
+			return bit, c.s.block[bit], true
 		}
 		if !c.s.Advance() {
 			return 0, 0, false
 		}
 		c.consumed = 0
-		c.onBlock()
 	}
 }

@@ -19,11 +19,12 @@ import "rsonpath/internal/simd"
 // structure because the initial state's scope is the whole document, this
 // classifier tracks both bracket kinds to monitor the depth — exactly the
 // "hard in general" part §3.3 points out for non-initial waiting states.
-// Everything is computed per block: bracket masks via paired comparisons,
-// key candidates from the quote classifier's masks (in-string positions are
-// masked out, so brackets and quotes inside strings are invisible), and a
-// whole-block fast path when a block holds no candidates and cannot drop
-// the depth to zero.
+// Everything is read from the stream's planes, block by block: the bracket
+// words, and key candidates from the quote classifier's masks (in-string
+// positions are masked out, so brackets and quotes inside strings are
+// invisible), with a whole-block fast path when a block holds no candidates
+// and cannot drop the depth to zero. Like the depth classifier, the scan
+// never loads the blocks it passes over.
 
 // TailKind discriminates SeekLabelWithin results.
 type TailKind int
@@ -57,66 +58,52 @@ type TailEvent struct {
 // The stream is left on the block containing the event.
 func SeekLabelWithin(s *Stream, from int, label []byte, rel int) TailEvent {
 	in := s.Input()
-	// Bring the stream to the block containing from (sequentially, so the
-	// quote state stays exact).
-	for s.BlockStart()+simd.BlockSize <= from {
-		if !s.Advance() {
-			return TailEvent{Kind: TailEnd}
-		}
-	}
+	s.settle()
+	idx := max(s.blockStart, from) / simd.BlockSize
+	skip := simd.BitsBelow(max(from-idx*simd.BlockSize, 0))
 	delta := 0
-	first := true
-	for {
-		inString := s.InString()
-		opens, closes := simd.BracketMasks(s.Block())
-		opens &^= inString
-		closes &^= inString
-		cands := s.QuoteMask() & inString // opening quotes
-		if first {
-			if low := from - s.BlockStart(); low > 0 {
-				mask := simd.BitsBelow(low)
-				opens &^= mask
-				closes &^= mask
-				cands &^= mask
+	for ; s.cover(idx); idx = s.hi {
+		w := &s.w
+		for i := idx - s.lo; i < len(w.Quote); i++ {
+			opens, closes := w.Opens[i]&^skip, w.Closes[i]&^skip
+			cands := w.Quote[i] & w.InString[i] &^ skip // opening quotes
+			skip = 0
+			// Fast path: nothing to verify and the depth cannot reach zero.
+			if cands == 0 && simd.Popcount(closes) < rel {
+				d := simd.Popcount(opens) - simd.Popcount(closes)
+				rel += d
+				delta += d
+				continue
 			}
-			first = false
-		}
-		// Fast path: nothing to verify and the depth cannot reach zero.
-		if cands == 0 && simd.Popcount(closes) < rel {
-			d := simd.Popcount(opens) - simd.Popcount(closes)
-			rel += d
-			delta += d
-			if !s.Advance() {
-				return TailEvent{Kind: TailEnd}
-			}
-			continue
-		}
-		// Walk the block's events in order.
-		for m := opens | closes | cands; m != 0; m = simd.ClearLowest(m) {
-			bit := simd.TrailingZeros(m)
-			p := s.BlockStart() + bit
-			one := uint64(1) << uint(bit)
-			switch {
-			case opens&one != 0:
-				rel++
-				delta++
-			case closes&one != 0:
-				rel--
-				delta--
-				if rel == 0 {
-					return TailEvent{Kind: TailClose, Pos: p}
+			// Walk the block's events in order.
+			base := (s.lo + i) * simd.BlockSize
+			for m := opens | closes | cands; m != 0; m = simd.ClearLowest(m) {
+				bit := simd.TrailingZeros(m)
+				p := base + bit
+				one := uint64(1) << uint(bit)
+				switch {
+				case opens&one != 0:
+					rel++
+					delta++
+				case closes&one != 0:
+					rel--
+					delta--
+					if rel == 0 {
+						s.JumpTo(p)
+						return TailEvent{Kind: TailClose, Pos: p}
+					}
+				default:
+					if vs, ok := verifyKey(in, p, label); ok {
+						s.JumpTo(p)
+						return TailEvent{Kind: TailKey, KeyAt: p, ValueAt: vs, DepthDelta: delta}
+					}
+					// Not the sought key: the string's contents (including
+					// any brackets and quotes) are already invisible through
+					// the in-string mask, so just keep walking.
 				}
-			default:
-				if vs, ok := verifyKey(in, p, label); ok {
-					return TailEvent{Kind: TailKey, KeyAt: p, ValueAt: vs, DepthDelta: delta}
-				}
-				// Not the sought key: the string's contents (including any
-				// brackets and quotes) are already invisible through the
-				// in-string mask, so just keep walking.
 			}
-		}
-		if !s.Advance() {
-			return TailEvent{Kind: TailEnd}
 		}
 	}
+	s.markExhausted()
+	return TailEvent{Kind: TailEnd}
 }

@@ -1,6 +1,6 @@
 // Package engine implements the paper's main query-execution algorithm
 // (§3.2–§3.4): simulation of the compiled query automaton over the streamed
-// document using a sparse depth-stack, fed by the SWAR classification
+// document using a sparse depth-stack, fed by the batched classification
 // pipeline, with all four skipping techniques:
 //
 //   - skipping leaves     — commas/colons toggled off in internal states;
@@ -23,6 +23,7 @@ package engine
 
 import (
 	"errors"
+	"sync"
 
 	"rsonpath/internal/automaton"
 	"rsonpath/internal/classifier"
@@ -144,11 +145,10 @@ func (e *Engine) RunInput(in input.Input, emit func(pos int)) error {
 
 // RunPlanes is RunInput over a document whose mask planes were precomputed
 // with classifier.BuildPlanes: the engine layer above the classifier
-// boundary is unchanged, but every block's quote and structural masks become
-// plane lookups instead of SWAR passes, stream repositioning needs no
-// quote-state reconstruction, and depth skips walk the bracket planes
-// without touching the document bytes. in must present exactly the bytes
-// the planes were built from.
+// boundary is unchanged, but the stream's classification window is the
+// whole document, so no block is classified during the run and stream
+// repositioning never needs quote-state reconstruction. in must present
+// exactly the bytes the planes were built from.
 func (e *Engine) RunPlanes(in input.Input, planes *classifier.Planes, emit func(pos int)) error {
 	return e.runInput(in, planes, emit)
 }
@@ -160,12 +160,15 @@ func (e *Engine) runInput(in input.Input, planes *classifier.Planes, emit func(p
 				return errs.DocBytesLimit(max, max)
 			}
 		}
-		r := &run{
-			e:    e,
-			dfa:  e.dfa,
-			in:   in,
-			emit: emit,
-		}
+		r := runPool.Get().(*run)
+		defer func() {
+			if r.stream != nil {
+				r.stream.Release()
+			}
+			*r = run{} // drop the caller's input and callback
+			runPool.Put(r)
+		}()
+		*r = run{e: e, dfa: e.dfa, in: in, emit: emit}
 		if planes != nil {
 			r.stream = classifier.NewStreamPlanes(in, planes)
 		} else {
@@ -175,6 +178,10 @@ func (e *Engine) runInput(in input.Input, planes *classifier.Planes, emit func(p
 		return r.document()
 	})
 }
+
+// runPool recycles per-run state: a run carries the depth-stack's inline
+// frames (a few KiB), which would otherwise become garbage on every run.
+var runPool = sync.Pool{New: func() any { return new(run) }}
 
 // run is the per-document execution state.
 type run struct {
@@ -256,7 +263,7 @@ func (r *run) document() error {
 }
 
 // headSkipLoop implements skipping to a label (§3.4): find each occurrence
-// of the head label with the SWAR seeker, take the transition, and run the
+// of the head label with the memmem seeker, take the transition, and run the
 // ordinary algorithm inside the associated value. rootPos/rootCh locate the
 // document's composite root for the best-effort end-of-input validation.
 func (r *run) headSkipLoop(rootPos int, rootCh byte) error {

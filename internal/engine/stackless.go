@@ -120,6 +120,7 @@ func (e *Stackless) runInput(in input.Input, emit func(pos int)) error {
 	kinds.Set(1, c == '{')
 
 	stream := classifier.NewStreamInput(in)
+	defer stream.Release()
 	iter := classifier.NewStructural(stream, rootPos+1)
 	// Leaves can only match the final selector; commas never matter
 	// (array entries carry no labels).

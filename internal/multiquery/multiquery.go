@@ -1,5 +1,5 @@
 // Package multiquery evaluates a set of compiled query automata over one
-// document in a single pass: one shared SWAR classification stream (quote,
+// document in a single pass: one shared classification stream (quote,
 // structural, and depth classifiers — the cost that dominates the paper's
 // profile) drives N independent automaton simulations, each with its own
 // depth-stack and state, emitting (queryIndex, offset) matches in document
@@ -147,6 +147,7 @@ func (s *Set) runInput(in input.Input, planes *classifier.Planes, emit func(quer
 	} else {
 		r.stream = classifier.NewStreamInput(in)
 	}
+	defer r.stream.Release()
 	r.iter = classifier.NewStructural(r.stream, rootPos+1)
 	return r.scan(rootPos, c)
 }

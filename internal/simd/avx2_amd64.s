@@ -123,29 +123,6 @@ done:
 	VZEROUPPER
 	RET
 
-// func andNotAVX2(dst, m *uint64, lanes int)
-// dst[0:4l] &^= m[0:4l], one 256-bit VPANDN per lane.
-TEXT ·andNotAVX2(SB), NOSPLIT, $0-24
-	MOVQ  dst+0(FP), DI
-	MOVQ  m+8(FP), SI
-	MOVQ  lanes+16(FP), CX
-	TESTQ CX, CX
-	JZ    andnotDone
-
-andnotLoop:
-	VMOVDQU (DI), Y0
-	VMOVDQU (SI), Y1
-	VPANDN  Y0, Y1, Y2     // Y2 = ^Y1 & Y0 = dst &^ m
-	VMOVDQU Y2, (DI)
-	ADDQ    $32, DI
-	ADDQ    $32, SI
-	DECQ    CX
-	JNZ     andnotLoop
-
-andnotDone:
-	VZEROUPPER
-	RET
-
 // Nibble popcount lookup table for VPSHUFB (both 128-bit halves identical).
 DATA popcntLUT<>+0(SB)/8, $0x0302020102010100
 DATA popcntLUT<>+8(SB)/8, $0x0403030203020201

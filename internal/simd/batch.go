@@ -1,9 +1,6 @@
 package simd
 
-import (
-	"encoding/binary"
-	"math/bits"
-)
+import "math/bits"
 
 // This file holds the batched classification kernels: instead of classifying
 // one 64-byte block per call through several single-purpose passes
@@ -16,7 +13,8 @@ import (
 //
 // The kernels emit *raw* masks only — escape handling and the in-string
 // parity are inherently sequential across blocks and are layered on top by
-// classifier.BuildPlanes.
+// the classifier, which runs them over whole documents (BuildPlanes) and
+// over every cold stream's windows alike.
 
 // Broadcast comparison targets for the raw sweep.
 const (
@@ -29,39 +27,69 @@ const (
 	bit5Fold       = 0x2020202020202020 // folds '['/']' onto '{'/'}' (see BracketMasks)
 )
 
-// rawMasksSWAR computes the six raw per-block masks of one padded block in a
-// single pass over its bytes: backslashes, double quotes (escaped or not),
-// opening and closing brackets of both kinds, commas, and colons. It is the
-// per-block form of batchRawMasksSWAR, the universal fallback behind the
-// dispatched RawMasks, and the bit-identity reference every hardware backend
-// is fuzzed against.
-func rawMasksSWAR(b *Block) (backslash, quote, opens, closes, commas, colons uint64) {
-	for i := 0; i < BlockSize; i += 8 {
-		w := word(b, i)
-		backslash |= movemaskZero(w^batchBackslash) << uint(i)
-		quote |= movemaskZero(w^batchQuote) << uint(i)
-		wf := w | bit5Fold
-		opens |= movemaskZero(wf^batchOpen) << uint(i)
-		closes |= movemaskZero(wf^batchClose) << uint(i)
-		commas |= movemaskZero(w^batchComma) << uint(i)
-		colons |= movemaskZero(w^batchColon) << uint(i)
-	}
+// low7Bits is 0x7F in every byte: the zero-detection addend of wordFlags.
+const low7Bits = 0x7F7F7F7F7F7F7F7F
+
+// wordFlags returns the six targets' match flags for the eight bytes of w,
+// each flag in the high bit of its byte. Every target is ASCII, so with the
+// bytes' own high bits set aside, adding 0x7F to the XOR with a target sets
+// a byte's high bit exactly when the byte differs from the target, with no
+// carry into the next byte; bytes whose own high bit was set never match.
+func wordFlags(w uint64) (backslash, quote, opens, closes, commas, colons uint64) {
+	hi := w & highBits
+	v := w &^ highBits
+	f := v | bit5Fold // brackets compare bit-5-folded (see BracketMasks)
+	backslash = ^((v ^ batchBackslash) + low7Bits | hi) & highBits
+	quote = ^((v ^ batchQuote) + low7Bits | hi) & highBits
+	opens = ^((f ^ batchOpen) + low7Bits | hi) & highBits
+	closes = ^((f ^ batchClose) + low7Bits | hi) & highBits
+	commas = ^((v ^ batchComma) + low7Bits | hi) & highBits
+	colons = ^((v ^ batchColon) + low7Bits | hi) & highBits
 	return
 }
 
-// batchRawMasksSWAR sweeps every full 64-byte block of data in one loop,
-// storing block i's raw masks at index i of each destination plane. It is
-// the universal fallback behind the dispatched BatchRawMasks.
-//
-// The body is unrolled by hand: gc does not unroll loops, and with the
-// 8-word loop written out every mask shift is a constant and the eight
-// detect chains are independent, which is where the batch layer's advantage
-// over per-block calls comes from.
+// transpose8 transposes the 8×8 bit matrix held in x, row r in byte r
+// (Hacker's Delight, §7-3).
+func transpose8(x uint64) uint64 {
+	t := (x ^ x>>7) & 0x00AA00AA00AA00AA
+	x ^= t ^ t<<7
+	t = (x ^ x>>14) & 0x0000CCCC0000CCCC
+	x ^= t ^ t<<14
+	t = (x ^ x>>28) & 0x00000000F0F0F0F0
+	return x ^ t ^ t<<28
+}
+
+// rawMasksSWAR computes the six raw masks of one padded block in a single
+// pass over its bytes: backslashes, double quotes (escaped or not), opening
+// and closing brackets of both kinds, commas, and colons. Rather than
+// gathering each word's flags into mask order separately, it packs a
+// block's flags as an 8×8 bit matrix per target — word j's flags shifted
+// down to bit j of every byte — and one transpose then yields the mask. It
+// is the SWAR backend's kernel behind both RawMasks and BatchRawMasks, and
+// the bit-identity reference every hardware backend is fuzzed against.
+func rawMasksSWAR(b *Block) (backslash, quote, opens, closes, commas, colons uint64) {
+	b0, q0, o0, c0, m0, l0 := wordFlags(word(b, 0))
+	b1, q1, o1, c1, m1, l1 := wordFlags(word(b, 8))
+	b2, q2, o2, c2, m2, l2 := wordFlags(word(b, 16))
+	b3, q3, o3, c3, m3, l3 := wordFlags(word(b, 24))
+	b4, q4, o4, c4, m4, l4 := wordFlags(word(b, 32))
+	b5, q5, o5, c5, m5, l5 := wordFlags(word(b, 40))
+	b6, q6, o6, c6, m6, l6 := wordFlags(word(b, 48))
+	b7, q7, o7, c7, m7, l7 := wordFlags(word(b, 56))
+	backslash = transpose8(b0>>7 | b1>>6 | b2>>5 | b3>>4 | b4>>3 | b5>>2 | b6>>1 | b7)
+	quote = transpose8(q0>>7 | q1>>6 | q2>>5 | q3>>4 | q4>>3 | q5>>2 | q6>>1 | q7)
+	opens = transpose8(o0>>7 | o1>>6 | o2>>5 | o3>>4 | o4>>3 | o5>>2 | o6>>1 | o7)
+	closes = transpose8(c0>>7 | c1>>6 | c2>>5 | c3>>4 | c4>>3 | c5>>2 | c6>>1 | c7)
+	commas = transpose8(m0>>7 | m1>>6 | m2>>5 | m3>>4 | m4>>3 | m5>>2 | m6>>1 | m7)
+	colons = transpose8(l0>>7 | l1>>6 | l2>>5 | l3>>4 | l4>>3 | l5>>2 | l6>>1 | l7)
+	return
+}
+
+// batchRawMasksSWAR sweeps every full 64-byte block of data, storing block
+// i's raw masks at index i of each destination plane. It is the universal
+// fallback behind the dispatched BatchRawMasks.
 func batchRawMasksSWAR(data []byte, backslash, quote, opens, closes, commas, colons []uint64) int {
 	n := len(data) / BlockSize
-	if n == 0 {
-		return 0
-	}
 	// Reslice once so the stores below are provably in bounds.
 	backslash = backslash[:n]
 	quote = quote[:n]
@@ -69,96 +97,11 @@ func batchRawMasksSWAR(data []byte, backslash, quote, opens, closes, commas, col
 	closes = closes[:n]
 	commas = commas[:n]
 	colons = colons[:n]
-	for i := 0; i < n; i++ {
-		b := data[i*BlockSize:]
-		b = b[:BlockSize:BlockSize]
-		w0 := binary.LittleEndian.Uint64(b[0:8])
-		w1 := binary.LittleEndian.Uint64(b[8:16])
-		w2 := binary.LittleEndian.Uint64(b[16:24])
-		w3 := binary.LittleEndian.Uint64(b[24:32])
-		w4 := binary.LittleEndian.Uint64(b[32:40])
-		w5 := binary.LittleEndian.Uint64(b[40:48])
-		w6 := binary.LittleEndian.Uint64(b[48:56])
-		w7 := binary.LittleEndian.Uint64(b[56:64])
-
-		backslash[i] = movemaskZero(w0^batchBackslash) |
-			movemaskZero(w1^batchBackslash)<<8 |
-			movemaskZero(w2^batchBackslash)<<16 |
-			movemaskZero(w3^batchBackslash)<<24 |
-			movemaskZero(w4^batchBackslash)<<32 |
-			movemaskZero(w5^batchBackslash)<<40 |
-			movemaskZero(w6^batchBackslash)<<48 |
-			movemaskZero(w7^batchBackslash)<<56
-		quote[i] = movemaskZero(w0^batchQuote) |
-			movemaskZero(w1^batchQuote)<<8 |
-			movemaskZero(w2^batchQuote)<<16 |
-			movemaskZero(w3^batchQuote)<<24 |
-			movemaskZero(w4^batchQuote)<<32 |
-			movemaskZero(w5^batchQuote)<<40 |
-			movemaskZero(w6^batchQuote)<<48 |
-			movemaskZero(w7^batchQuote)<<56
-		commas[i] = movemaskZero(w0^batchComma) |
-			movemaskZero(w1^batchComma)<<8 |
-			movemaskZero(w2^batchComma)<<16 |
-			movemaskZero(w3^batchComma)<<24 |
-			movemaskZero(w4^batchComma)<<32 |
-			movemaskZero(w5^batchComma)<<40 |
-			movemaskZero(w6^batchComma)<<48 |
-			movemaskZero(w7^batchComma)<<56
-		colons[i] = movemaskZero(w0^batchColon) |
-			movemaskZero(w1^batchColon)<<8 |
-			movemaskZero(w2^batchColon)<<16 |
-			movemaskZero(w3^batchColon)<<24 |
-			movemaskZero(w4^batchColon)<<32 |
-			movemaskZero(w5^batchColon)<<40 |
-			movemaskZero(w6^batchColon)<<48 |
-			movemaskZero(w7^batchColon)<<56
-
-		// Brackets run on the bit-5-folded words (see BracketMasks).
-		w0 |= bit5Fold
-		w1 |= bit5Fold
-		w2 |= bit5Fold
-		w3 |= bit5Fold
-		w4 |= bit5Fold
-		w5 |= bit5Fold
-		w6 |= bit5Fold
-		w7 |= bit5Fold
-		opens[i] = movemaskZero(w0^batchOpen) |
-			movemaskZero(w1^batchOpen)<<8 |
-			movemaskZero(w2^batchOpen)<<16 |
-			movemaskZero(w3^batchOpen)<<24 |
-			movemaskZero(w4^batchOpen)<<32 |
-			movemaskZero(w5^batchOpen)<<40 |
-			movemaskZero(w6^batchOpen)<<48 |
-			movemaskZero(w7^batchOpen)<<56
-		closes[i] = movemaskZero(w0^batchClose) |
-			movemaskZero(w1^batchClose)<<8 |
-			movemaskZero(w2^batchClose)<<16 |
-			movemaskZero(w3^batchClose)<<24 |
-			movemaskZero(w4^batchClose)<<32 |
-			movemaskZero(w5^batchClose)<<40 |
-			movemaskZero(w6^batchClose)<<48 |
-			movemaskZero(w7^batchClose)<<56
+	for i := range backslash {
+		backslash[i], quote[i], opens[i], closes[i], commas[i], colons[i] =
+			rawMasksSWAR((*Block)(data[i*BlockSize:]))
 	}
 	return n
-}
-
-// andNotSWAR clears in dst every bit set in m: dst[i] &^= m[i]. Fallback
-// behind the dispatched AndNot; unrolled by four to match the vector
-// backends' lane width.
-func andNotSWAR(dst, m []uint64) {
-	n := len(dst)
-	m = m[:n]
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		dst[i] &^= m[i]
-		dst[i+1] &^= m[i+1]
-		dst[i+2] &^= m[i+2]
-		dst[i+3] &^= m[i+3]
-	}
-	for ; i < n; i++ {
-		dst[i] &^= m[i]
-	}
 }
 
 // popcountWordsSWAR sums the population count of every word of p. Fallback

@@ -4,20 +4,25 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"sync/atomic"
 	"unsafe"
 )
 
 // This file is the runtime backend dispatch layer (DESIGN.md §16). A backend
 // is one implementation of the hot kernels — the six-mask raw sweep and the
-// plane post-processing primitives — selected once at init: the best
-// hardware backend the CPU supports wins, SWAR is the universal fallback
-// compiled on every GOARCH, and the RSONPATH_SIMD environment variable (or
-// SetBackend, behind the CLI/daemon -simd flags) forces a specific one so
-// both paths stay testable on any host.
+// whole-plane popcount. At init the best hardware backend the CPU supports
+// wins, SWAR is the universal fallback compiled on every GOARCH, and the
+// RSONPATH_SIMD environment variable (or SetBackend, behind the CLI/daemon
+// -simd flags) forces a specific one so both paths stay testable on any
+// host. Every classification — each cold stream window as much as each
+// Index build — dispatches through the active backend, so switching is an
+// atomic pointer swap, safe while queries run (TestSetBackendWhileQueriesRun
+// pins that under -race).
 //
 // Every backend must be bit-identical to SWAR on all six masks; the
 // differential fuzzers (FuzzBackendEquivalence here, FuzzPlanesEquivalence
-// in internal/classifier) and the backend-matrix CI jobs pin that.
+// and FuzzWindowedStream in internal/classifier) and the backend-matrix CI
+// jobs pin that.
 
 // EnvBackend is the environment variable consulted at init (and by the
 // -simd flags' default) to force a backend by name.
@@ -30,8 +35,6 @@ type backend struct {
 	rawMasks func(b *Block) (backslash, quote, opens, closes, commas, colons uint64)
 	// batchRawMasks is the multi-block sweep over full blocks of data.
 	batchRawMasks func(data []byte, backslash, quote, opens, closes, commas, colons []uint64) int
-	// andNot clears dst's bits where m's are set (len(m) >= len(dst)).
-	andNot func(dst, m []uint64)
 	// popcountWords sums the set bits of a whole plane.
 	popcountWords func(p []uint64) int
 }
@@ -40,23 +43,23 @@ var swarBackend = backend{
 	name:          "swar",
 	rawMasks:      rawMasksSWAR,
 	batchRawMasks: batchRawMasksSWAR,
-	andNot:        andNotSWAR,
 	popcountWords: popcountWordsSWAR,
 }
 
 // backends holds every backend compiled in AND supported by this CPU, in
 // preference order: index 0 is the fallback, the last entry the fastest.
-var backends = []backend{swarBackend}
+var backends = []*backend{&swarBackend}
 
-// active is the backend behind the exported kernels. It is written during
-// package init and by SetBackend (startup flags and tests); the hot paths
-// read it without synchronization, so forcing a backend while queries run
-// concurrently is not supported.
-var active backend
+// active is the backend behind the exported kernels. It is set during
+// package init and by SetBackend, and read with one atomic load per kernel
+// call — a classifier window makes one or two, never one per block — so
+// flipping the backend while queries run is safe: each call runs entirely
+// on the backend it loaded, and every backend is bit-identical to SWAR.
+var active atomic.Pointer[backend]
 
 func init() {
 	registerArch()
-	active = backends[len(backends)-1]
+	active.Store(backends[len(backends)-1])
 	if name := os.Getenv(EnvBackend); name != "" {
 		// A forced backend this binary or CPU lacks degrades to the best
 		// available one rather than failing init: the env var is a testing
@@ -67,7 +70,7 @@ func init() {
 }
 
 // Backend returns the name of the active kernel backend ("swar", "avx2").
-func Backend() string { return active.name }
+func Backend() string { return active.Load().name }
 
 // Backends returns the names of every backend usable on this host, in
 // preference order (fallback first). The result is a fresh slice.
@@ -81,12 +84,12 @@ func Backends() []string {
 
 // SetBackend forces the named backend. It returns an error naming the
 // available choices when the backend is unknown, not compiled into this
-// GOARCH, or not supported by the CPU. Not safe to call concurrently with
-// running queries: it is meant for process startup (flags, env) and tests.
+// GOARCH, or not supported by the CPU. It is safe to call while queries
+// run: work already in flight finishes on the backend it loaded.
 func SetBackend(name string) error {
 	for _, b := range backends {
 		if b.name == name {
-			active = b
+			active.Store(b)
 			return nil
 		}
 	}
@@ -100,7 +103,7 @@ func SetBackend(name string) error {
 // closing brackets of both kinds, commas, and colons. It is the per-block
 // form of BatchRawMasks, used for the final partial block.
 func RawMasks(b *Block) (backslash, quote, opens, closes, commas, colons uint64) {
-	return active.rawMasks(b)
+	return active.Load().rawMasks(b)
 }
 
 // BatchRawMasks sweeps every full 64-byte block of data with the active
@@ -109,22 +112,13 @@ func RawMasks(b *Block) (backslash, quote, opens, closes, commas, colons uint64)
 // the number of full blocks processed is returned (the caller pads and
 // classifies the partial tail, if any, with LoadBlock + RawMasks).
 func BatchRawMasks(data []byte, backslash, quote, opens, closes, commas, colons []uint64) int {
-	return active.batchRawMasks(data, backslash, quote, opens, closes, commas, colons)
-}
-
-// AndNot clears in dst every bit set in m: dst[i] &^= m[i] for i < len(dst).
-// m must be at least as long as dst. This is the plane post-processing
-// primitive behind classifier.BuildPlanes' &^inString masking; vector
-// backends process VecWords words per step, so callers that can pass
-// lane-rounded lengths (see RoundWords) avoid the scalar tail entirely.
-func AndNot(dst, m []uint64) {
-	active.andNot(dst, m)
+	return active.Load().batchRawMasks(data, backslash, quote, opens, closes, commas, colons)
 }
 
 // PopcountWords sums the set bits of every word of p, the whole-plane
 // popcount behind classifier.(*Planes).BracketBalance.
 func PopcountWords(p []uint64) int {
-	return active.popcountWords(p)
+	return active.Load().popcountWords(p)
 }
 
 // Vector-lane geometry shared by every hardware backend and by the plane

@@ -15,7 +15,7 @@ var cpuAVX2 = detectAVX2()
 // default (backends are in preference order; the last entry wins init).
 func registerArch() {
 	if cpuAVX2 {
-		backends = append(backends, avx2Backend)
+		backends = append(backends, &avx2Backend)
 	}
 }
 
@@ -23,7 +23,6 @@ var avx2Backend = backend{
 	name:          "avx2",
 	rawMasks:      rawMasksAVX2Call,
 	batchRawMasks: batchRawMasksAVX2Call,
-	andNot:        andNotAVX2Call,
 	popcountWords: popcountWordsAVX2Call,
 }
 
@@ -40,11 +39,6 @@ func rawMasksAVX2(b *Block, out *[6]uint64)
 //
 //go:noescape
 func batchRawMasksAVX2(data *byte, n int, backslash, quote, opens, closes, commas, colons *uint64)
-
-// andNotAVX2 computes dst[i] &^= m[i] over lanes*VecWords words.
-//
-//go:noescape
-func andNotAVX2(dst, m *uint64, lanes int)
 
 // popcountAVX2 sums the set bits of lanes*VecWords words of p (Mula's
 // VPSHUFB nibble-LUT + VPSADBW algorithm).
@@ -74,18 +68,6 @@ func batchRawMasksAVX2Call(data []byte, backslash, quote, opens, closes, commas,
 	batchRawMasksAVX2(&data[0], n,
 		&backslash[0], &quote[0], &opens[0], &closes[0], &commas[0], &colons[0])
 	return n
-}
-
-func andNotAVX2Call(dst, m []uint64) {
-	n := len(dst)
-	m = m[:n]
-	lanes := n / VecWords
-	if lanes > 0 {
-		andNotAVX2(&dst[0], &m[0], lanes)
-	}
-	for i := lanes * VecWords; i < n; i++ {
-		dst[i] &^= m[i]
-	}
 }
 
 func popcountWordsAVX2Call(p []uint64) int {

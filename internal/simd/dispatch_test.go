@@ -95,27 +95,6 @@ func randWords(n int, seed int64) []uint64 {
 	return s
 }
 
-func TestAndNotAllBackends(t *testing.T) {
-	for _, name := range Backends() {
-		withBackend(t, name, func(t *testing.T) {
-			for _, n := range []int{0, 1, 3, 4, 5, 8, 31, 64, 257} {
-				dst := randWords(n, int64(n))
-				m := randWords(n, int64(n)+1)
-				want := make([]uint64, n)
-				for i := range want {
-					want[i] = dst[i] &^ m[i]
-				}
-				AndNot(dst, m)
-				for i := range want {
-					if dst[i] != want[i] {
-						t.Fatalf("%s n=%d: word %d = %#x, want %#x", name, n, i, dst[i], want[i])
-					}
-				}
-			}
-		})
-	}
-}
-
 func TestPopcountWordsAllBackends(t *testing.T) {
 	for _, name := range Backends() {
 		withBackend(t, name, func(t *testing.T) {
@@ -175,6 +154,9 @@ func checkBackendMasks(t *testing.T, data []byte) {
 		w[0], w[1], w[2], w[3], w[4], w[5] = rawMasksSWAR(&b)
 		if g != w {
 			t.Fatalf("%s: RawMasks@%d = %x, want %x (swar)", Backend(), off, g, w)
+		}
+		if ref := refMasks(&b); w != ref {
+			t.Fatalf("swar RawMasks@%d = %x, per-block kernels %x", off, w, ref)
 		}
 		if len(data) == 0 {
 			break

@@ -159,44 +159,6 @@ func NibbleOr2(b *Block, utab1, ltab1, utab2, ltab2 *NibbleTable) uint64 {
 	return mask
 }
 
-// ByteTable is a fully-composed classification table: one 0/1 entry per
-// byte value. CompileNibbleEq derives one from an utab/ltab pair; it is the
-// scalar-practical composition of the two shuffle lookups — Go has no
-// 16-lane parallel shuffle, and one table load per byte beats two nibble
-// loads plus a compare.
-type ByteTable [256]byte
-
-// CompileNibbleEq composes utab/ltab (non-overlapping-groups semantics,
-// §4.1) into a ByteTable. Rebuilt whenever a table is toggled; the XOR
-// toggling of utab entries (§4.1) therefore still drives classification.
-func CompileNibbleEq(utab, ltab *NibbleTable) ByteTable {
-	var t ByteTable
-	for v := 0; v < 256; v++ {
-		if utab[v>>4] == ltab[v&0x0F] {
-			t[v] = 1
-		}
-	}
-	return t
-}
-
-// ClassifyBytes classifies a block against a composed ByteTable, returning
-// the match bitmask. The loop is branchless and unrolled in 8-byte lanes.
-func ClassifyBytes(b *Block, t *ByteTable) uint64 {
-	var mask uint64
-	for i := 0; i < BlockSize; i += 8 {
-		m := uint64(t[b[i]]) |
-			uint64(t[b[i+1]])<<1 |
-			uint64(t[b[i+2]])<<2 |
-			uint64(t[b[i+3]])<<3 |
-			uint64(t[b[i+4]])<<4 |
-			uint64(t[b[i+5]])<<5 |
-			uint64(t[b[i+6]])<<6 |
-			uint64(t[b[i+7]])<<7
-		mask |= m << uint(i)
-	}
-	return mask
-}
-
 // PrefixXor computes, for every bit position i, the XOR of bits 0..i of x.
 // It substitutes for the carry-less multiplication by an all-ones vector the
 // paper uses to turn unescaped-quote masks into in-string masks (§4.2): the

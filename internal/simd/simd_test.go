@@ -256,50 +256,6 @@ func BenchmarkNibbleEq(b *testing.B) {
 
 var sink uint64
 
-func TestCompileNibbleEqComposesTables(t *testing.T) {
-	// The composed ByteTable must agree with NibbleEq on every byte, for
-	// random nibble tables.
-	r := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 50; trial++ {
-		var utab, ltab NibbleTable
-		for i := range utab {
-			utab[i] = byte(r.Intn(256))
-			ltab[i] = byte(r.Intn(256))
-		}
-		bt := CompileNibbleEq(&utab, &ltab)
-		var b Block
-		for base := 0; base < 256; base += BlockSize {
-			for i := 0; i < BlockSize; i++ {
-				b[i] = byte(base + i)
-			}
-			if ClassifyBytes(&b, &bt) != NibbleEq(&b, &utab, &ltab) {
-				t.Fatalf("trial %d: composed table diverges from NibbleEq", trial)
-			}
-		}
-	}
-}
-
-func TestClassifyBytesKnown(t *testing.T) {
-	var bt ByteTable
-	bt[','] = 1
-	var b Block
-	LoadBlock(&b, []byte("a,b,,c"), ' ')
-	if got := ClassifyBytes(&b, &bt); got != 0b011010 {
-		t.Fatalf("ClassifyBytes = %#b", got)
-	}
-}
-
-func BenchmarkClassifyBytes(b *testing.B) {
-	r := rand.New(rand.NewSource(6))
-	blk := randomBlock(r)
-	var bt ByteTable
-	bt['{'], bt['}'], bt['['], bt[']'] = 1, 1, 1, 1
-	b.SetBytes(BlockSize)
-	for i := 0; i < b.N; i++ {
-		sink ^= ClassifyBytes(&blk, &bt)
-	}
-}
-
 func TestBracketMasks(t *testing.T) {
 	r := rand.New(rand.NewSource(33))
 	for trial := 0; trial < 1000; trial++ {

@@ -316,6 +316,7 @@ func (r *run) skipValue(pos int) (end int, err error) {
 func (r *run) scanToClose(from int, open byte) (closePos int, ok bool) {
 	s := classifier.NewStreamAt(r.cur.Input(), from)
 	p, ok := classifier.SkipToClose(s, from, open)
+	s.Release()
 	r.cur.Invalidate()
 	return p, ok
 }

@@ -24,7 +24,7 @@ var errPathSemantics = errors.New("rsonpath: path semantics requires EngineDOM")
 type EngineKind int
 
 const (
-	// EngineRsonpath is the paper's engine: SWAR classification, skipping,
+	// EngineRsonpath is the paper's engine: batched classification, skipping,
 	// depth-stack simulation. The default.
 	EngineRsonpath EngineKind = iota
 	// EngineSurfer is the non-accelerated streaming baseline (full
