@@ -182,7 +182,7 @@ func BenchmarkAblation(b *testing.B) {
 	}
 	for _, v := range bench.AblationVariants {
 		b.Run(v.Label, func(b *testing.B) {
-			q, err := rsonpath.Compile(spec.Query, rsonpath.WithOptimizations(v.Opt))
+			q, err := bench.CompileVariant(spec.Query, v)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -198,30 +198,23 @@ func BenchmarkAblation(b *testing.B) {
 }
 
 // BenchmarkStackless compares the three simulation strategies of §3.2 on a
-// descendant-only chain: the full engine (head-skip + depth-stack), the
-// pure depth-stack simulation (head-skip off), and the depth-register
-// stackless automaton.
+// descendant-only chain (bench.StacklessVariants): the full engine
+// (head-skip + depth-stack), the pure depth-stack simulation (head-skip
+// off), and the depth-register stackless automaton.
 func BenchmarkStackless(b *testing.B) {
 	data, err := benchHarness.Dataset("crossref")
 	if err != nil {
 		b.Fatal(err)
 	}
-	const query = "$..affiliation..name"
-	variants := []struct {
-		name string
-		q    *rsonpath.Query
-	}{
-		{"engine", rsonpath.MustCompile(query)},
-		{"depth-stack-only", rsonpath.MustCompile(query,
-			rsonpath.WithOptimizations(rsonpath.Optimizations{NoHeadSkip: true}))},
-		{"depth-registers", rsonpath.MustCompile(query,
-			rsonpath.WithEngine(rsonpath.EngineStackless))},
-	}
-	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
+	for _, v := range bench.StacklessVariants {
+		q, err := bench.CompileVariant(bench.StacklessQuery, v)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(v.Label, func(b *testing.B) {
 			b.SetBytes(int64(len(data)))
 			for i := 0; i < b.N; i++ {
-				if _, err := v.q.Count(data); err != nil {
+				if _, err := q.Count(data); err != nil {
 					b.Fatal(err)
 				}
 			}

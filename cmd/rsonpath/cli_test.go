@@ -61,6 +61,7 @@ func TestCLIUsageErrors(t *testing.T) {
 		{},                                   // no query
 		{"-bogus", "$.a"},                    // unknown flag
 		{"-engine", "zip", "$.a"},            // unknown engine
+		{"-engine", "auto", "$.a"},           // the planner is not an engine
 		{"$.a[", "-"},                        // unparseable query
 		{"-lines", "-e", "$.a", "-e", "$.b"}, // -lines with a query set
 	} {
@@ -208,7 +209,7 @@ func TestCLIExplain(t *testing.T) {
 	if out != "1\n" {
 		t.Fatalf("stdout %q", out)
 	}
-	if !strings.Contains(stderr, "rsonpath: plan: strategy=head-skip engine=rsonpath rule=head-skip") {
+	if !strings.Contains(stderr, "rsonpath: plan: strategy=scan engine=rsonpath rule=head-skip") {
 		t.Fatalf("stderr %q", stderr)
 	}
 

@@ -22,9 +22,9 @@
 //	rsonpath -explain -count '$..user.name' tweets.json  # print the execution plan
 //	rsonpath -engine stackless -count '$..a..b' doc.json # pin an engine
 //
-// By default the execution planner picks the strategy per run from the
-// query shape (DESIGN.md §13); -engine pins one, and -explain prints the
-// decision and its rationale to stderr.
+// The default engine is the accelerated rsonpath engine; -engine selects
+// another, and -explain prints the execution plan and its rationale to
+// stderr (DESIGN.md §13).
 //
 // With -e or -queries the queries are compiled into a QuerySet and the
 // document is scanned once for all of them; every output line is prefixed
@@ -99,7 +99,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	var (
 		count    = fs.Bool("count", false, "print only the number of matches")
 		offsets  = fs.Bool("offsets", false, "print byte offsets instead of values")
-		engine   = fs.String("engine", "auto", "engine: auto (planner decides), rsonpath, surfer, ski, stackless, or dom")
+		engine   = fs.String("engine", "rsonpath", "engine: rsonpath, surfer, ski, stackless, or dom")
 		explain  = fs.Bool("explain", false, "print the chosen execution plan and its rationale per query to stderr")
 		lines    = fs.Bool("lines", false, "treat input as newline-delimited JSON records (bad records are skipped with a warning)")
 		qfile    = fs.String("queries", "", "file with one query per line (# comments); combined after -e queries")
@@ -155,16 +155,12 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return exitUsage
 	}
 
-	kind, forced, err := engineKind(*engine)
+	kind, err := engineKind(*engine)
 	if err != nil {
 		fmt.Fprintln(stderr, "rsonpath:", err)
 		return exitUsage
 	}
-	var opts []rsonpath.Option
-	if forced {
-		// -engine pins the engine; the planner honors it as a constraint.
-		opts = append(opts, rsonpath.WithEngine(kind))
-	}
+	opts := []rsonpath.Option{rsonpath.WithEngine(kind)}
 	if *maxDepth != 0 {
 		opts = append(opts, rsonpath.WithMaxDepth(*maxDepth))
 	}
@@ -586,24 +582,20 @@ func runLines(q *rsonpath.Query, in io.Reader, out *bufio.Writer, stderr io.Writ
 	return code
 }
 
-// engineKind resolves the -engine flag. "auto" (the default) leaves the
-// choice to the execution planner; any named engine is a forced constraint
-// (rsonpath.WithEngine).
-func engineKind(name string) (kind rsonpath.EngineKind, forced bool, err error) {
+// engineKind resolves the -engine flag.
+func engineKind(name string) (rsonpath.EngineKind, error) {
 	switch name {
-	case "auto":
-		return rsonpath.EngineRsonpath, false, nil
 	case "rsonpath":
-		return rsonpath.EngineRsonpath, true, nil
+		return rsonpath.EngineRsonpath, nil
 	case "surfer":
-		return rsonpath.EngineSurfer, true, nil
+		return rsonpath.EngineSurfer, nil
 	case "ski":
-		return rsonpath.EngineSki, true, nil
+		return rsonpath.EngineSki, nil
 	case "stackless":
-		return rsonpath.EngineStackless, true, nil
+		return rsonpath.EngineStackless, nil
 	case "dom":
-		return rsonpath.EngineDOM, true, nil
+		return rsonpath.EngineDOM, nil
 	default:
-		return 0, false, fmt.Errorf("unknown engine %q (want auto, rsonpath, surfer, ski, stackless, or dom)", name)
+		return 0, fmt.Errorf("unknown engine %q (want rsonpath, surfer, ski, stackless, or dom)", name)
 	}
 }

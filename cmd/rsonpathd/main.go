@@ -71,12 +71,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	var (
 		addr       = fs.String("addr", ":8077", "listen address")
 		queryCache = fs.Int("query-cache", 256, "compiled-query LRU capacity")
-		docCache   = fs.Int("doc-cache", 128, "indexed-document LRU capacity (0 = off)")
-		docAfter   = fs.Int("doc-cache-after", 0, "sightings of a document before its index is built (0 = execution planner decides)")
+		docCache   = fs.Int("doc-cache", 128, "indexed-document LRU capacity (0 = off); a document is indexed on its second sighting")
 		timeout    = fs.Duration("timeout", 2*time.Second, "watchdog deadline per request (per record for NDJSON; 0 = none)")
 		fallback   = fs.String("fallback", "on", "degrade to the DOM oracle on internal faults: on or off")
-		retry      = fs.Int("retry", 0, "retries of a request's streaming attempts on transient read errors")
-		retryWait  = fs.Duration("retry-backoff", 50*time.Millisecond, "sleep between retries")
 		maxDepth   = fs.Int("max-depth", 0, "document nesting limit (0 = default, negative = unlimited)")
 		maxMatch   = fs.Int("max-matches", 0, "abort a run after this many matches (0 = unlimited)")
 		maxBytes   = fs.Int("max-doc-bytes", 0, "largest document accepted by a run, in bytes (0 = unlimited)")
@@ -152,11 +149,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		Shard:            shardName,
 		QueryCacheSize:   *queryCache,
 		DocCacheSize:     *docCache,
-		DocCacheAfter:    *docAfter,
 		Timeout:          *timeout,
 		FallbackOff:      *fallback == "off",
-		RetryMax:         *retry,
-		RetryBackoff:     *retryWait,
 		MaxDepth:         *maxDepth,
 		MaxMatches:       *maxMatch,
 		MaxDocBytes:      *maxBytes,

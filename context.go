@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"rsonpath/internal/input"
-	"rsonpath/internal/planner"
 )
 
 // Context-aware streaming: RunReaderContext and QuerySet.RunReaderContext
@@ -111,7 +110,7 @@ func (q *Query) RunContext(ctx context.Context, data []byte, emit func(pos int))
 // the context's own error) when ctx is done — even if the underlying reader
 // is blocked. Matches emitted before the cancellation have been delivered.
 func (q *Query) RunReaderContext(ctx context.Context, r io.Reader, emit func(pos int)) error {
-	sr, label, ok := q.planInputRunner(planner.DocStats{})
+	sr, ok := q.run.(inputRunner)
 	if !ok {
 		return ErrStreamingUnsupported
 	}
@@ -130,7 +129,7 @@ func (q *Query) RunReaderContext(ctx context.Context, r io.Reader, emit func(pos
 	if q.limits.maxDocBytes > 0 {
 		in.LimitDocBytes(q.limits.maxDocBytes)
 	}
-	return guardRun(label, func() error {
+	return guardRun(q.kind.String(), func() error {
 		return sr.RunInput(in, q.limits.limitEmit(emit))
 	})
 }

@@ -37,6 +37,16 @@
 // WithSemantics; and EngineStackless, the depth-register automaton of the
 // paper's §3.2 for descendant-only label chains.
 //
+// # Execution plans
+//
+// Query.Explain reports how a run would execute (DESIGN.md §13): the
+// accelerated engine's scan, whose rule names its dominant skipping
+// mechanism (head-skip, child-skipping or depth-stack); the indexed path
+// when a document classified once by Index is in hand (RunIndexed); or the
+// engine pinned with WithEngine. Head-skip, skip-children and
+// skip-siblings are mechanisms inside the one scan, not separate
+// strategies.
+//
 // Query composition (Pipeline), newline-delimited streaming (RunLines),
 // value extraction (ValueAt), and string decoding (DecodeString) round out
 // the library surface.

@@ -123,7 +123,7 @@ func (q *Query) RunIndexedSupervised(ctx context.Context, doc *IndexedDocument, 
 			return e.RunPlanes(doc.in, doc.planes, q.limits.limitEmit(func(pos int) { buf = append(buf, pos) }))
 		})
 	}}
-	so, err := supervisor.Run(ctx, q.sup.policy(false), primary, q.oracleAttempt(doc.data, &buf))
+	so, err := supervisor.Run(ctx, q.sup.policy(), primary, q.oracleAttempt(doc.data, &buf))
 	oc := Outcome(so)
 	if err != nil && degradable(err) {
 		buf = nil

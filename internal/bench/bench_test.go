@@ -275,6 +275,28 @@ func TestDatasetCacheAndErrors(t *testing.T) {
 	}
 }
 
+// TestVariantEngines runs the variant engine check without timing
+// anything: every stackless and ablation variant must plan the engine its
+// label names, and a mislabelled variant must be rejected.
+func TestVariantEngines(t *testing.T) {
+	for _, v := range StacklessVariants {
+		if _, err := CompileVariant(StacklessQuery, v); err != nil {
+			t.Error(err)
+		}
+	}
+	for _, v := range AblationVariants {
+		for _, query := range []string{StacklessQuery, "$.items.*.DOI", "$..a.*[1]"} {
+			if _, err := CompileVariant(query, v); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	mislabelled := Variant{"depth-registers", rsonpath.EngineStackless, nil}
+	if _, err := CompileVariant(StacklessQuery, mislabelled); err == nil {
+		t.Error("a variant running the default engine under a stackless label was accepted")
+	}
+}
+
 func TestStacklessComparison(t *testing.T) {
 	h := tiny()
 	results, err := h.RunStackless()

@@ -150,17 +150,14 @@ func (h *Harness) RunSpec(spec Spec, kind rsonpath.EngineKind) (Result, error) {
 	return res, nil
 }
 
-// RunSpecOptimized measures the accelerated engine with specific
-// optimization toggles (the ablation experiment).
-func (h *Harness) RunSpecOptimized(spec Spec, opt rsonpath.Optimizations, label string) (Result, error) {
+// RunVariant measures one labelled variant on a spec (the ablation and
+// stackless experiments); the result is labelled with the variant.
+func (h *Harness) RunVariant(spec Spec, v Variant) (Result, error) {
 	data, err := h.Dataset(spec.Dataset)
 	if err != nil {
 		return Result{}, err
 	}
-	// Planner off: the ablation measures the configured toggles, and the
-	// planner would otherwise reroute NoHeadSkip chains to stackless.
-	q, err := rsonpath.Compile(spec.Query,
-		rsonpath.WithOptimizations(opt), rsonpath.WithPlanner(rsonpath.PlannerOff))
+	q, err := CompileVariant(spec.Query, v)
 	if err != nil {
 		return Result{}, err
 	}
@@ -168,7 +165,7 @@ func (h *Harness) RunSpecOptimized(spec Spec, opt rsonpath.Optimizations, label 
 	if err != nil {
 		return Result{}, err
 	}
-	res.ID, res.Dataset, res.Query, res.Engine = spec.ID, spec.Dataset, spec.Query, label
+	res.ID, res.Dataset, res.Query, res.Engine = spec.ID, spec.Dataset, spec.Query, v.Label
 	return res, nil
 }
 
@@ -223,49 +220,53 @@ func (h *Harness) RunScalability(factors []float64) ([]ScalabilityPoint, error) 
 	return out, nil
 }
 
-// RunStackless compares the §3.2 simulation strategies — full engine,
-// depth-stack-only (head-skip off), and depth-register stackless — on a
-// descendant-only chain.
-func (h *Harness) RunStackless() ([]Result, error) {
-	spec := Spec{ID: "S2", Dataset: "crossref", Query: "$..affiliation..name"}
-	data, err := h.Dataset(spec.Dataset)
+// Variant is one labelled configuration of a comparative experiment, and
+// the engine its label claims to measure.
+type Variant struct {
+	Label  string
+	Engine rsonpath.EngineKind
+	Opts   []rsonpath.Option
+}
+
+// CompileVariant compiles query under v's options and fails when the plan
+// of a cold run names an engine other than v.Engine — the guard that keeps
+// an experiment from silently measuring the wrong engine under the right
+// label.
+func CompileVariant(query string, v Variant) (*rsonpath.Query, error) {
+	q, err := rsonpath.Compile(query, v.Opts...)
 	if err != nil {
 		return nil, err
 	}
-	variants := []struct {
-		label string
-		q     *rsonpath.Query
-		err   error
-	}{}
-	add := func(label string, q *rsonpath.Query, err error) {
-		variants = append(variants, struct {
-			label string
-			q     *rsonpath.Query
-			err   error
-		}{label, q, err})
+	if got := q.Explain(rsonpath.DocStats{}).Engine; got != v.Engine {
+		return nil, fmt.Errorf("variant %s of %s runs engine %s, but its label names %s",
+			v.Label, query, got, v.Engine)
 	}
-	// Planner off on the first two variants: this experiment compares the
-	// simulation strategies directly, and under planner-auto the NoHeadSkip
-	// variant would itself be rerouted to the depth-register automaton.
-	q1, err1 := rsonpath.Compile(spec.Query, rsonpath.WithPlanner(rsonpath.PlannerOff))
-	add("engine", q1, err1)
-	q2, err2 := rsonpath.Compile(spec.Query,
-		rsonpath.WithOptimizations(rsonpath.Optimizations{NoHeadSkip: true}),
-		rsonpath.WithPlanner(rsonpath.PlannerOff))
-	add("depth-stack-only", q2, err2)
-	q3, err3 := rsonpath.Compile(spec.Query, rsonpath.WithEngine(rsonpath.EngineStackless))
-	add("depth-registers", q3, err3)
+	return q, nil
+}
 
+// StacklessQuery is the descendant-only chain the §3.2 comparison runs.
+const StacklessQuery = "$..affiliation..name"
+
+// StacklessVariants are the §3.2 simulation strategies: the full engine
+// (head-skip + depth-stack), the pure depth-stack simulation (head-skip
+// off), and the depth-register automaton.
+var StacklessVariants = []Variant{
+	{"engine", rsonpath.EngineRsonpath, nil},
+	{"depth-stack-only", rsonpath.EngineRsonpath,
+		[]rsonpath.Option{rsonpath.WithOptimizations(rsonpath.Optimizations{NoHeadSkip: true})}},
+	{"depth-registers", rsonpath.EngineStackless,
+		[]rsonpath.Option{rsonpath.WithEngine(rsonpath.EngineStackless)}},
+}
+
+// RunStackless compares the StacklessVariants on StacklessQuery.
+func (h *Harness) RunStackless() ([]Result, error) {
+	spec := Spec{ID: "S2", Dataset: "crossref", Query: StacklessQuery}
 	var out []Result
-	for _, v := range variants {
-		if v.err != nil {
-			return nil, v.err
-		}
-		res, err := h.MeasureFunc(len(data), func() (int, error) { return v.q.Count(data) })
+	for _, v := range StacklessVariants {
+		res, err := h.RunVariant(spec, v)
 		if err != nil {
 			return nil, err
 		}
-		res.ID, res.Dataset, res.Query, res.Engine = spec.ID, spec.Dataset, spec.Query, v.label
 		out = append(out, res)
 	}
 	return out, nil
@@ -295,20 +296,23 @@ func (h *Harness) RunTable3() ([]Table3Row, error) {
 	return out, nil
 }
 
+// ablation is one AblationVariants entry: the accelerated engine with the
+// given skipping toggles.
+func ablation(label string, opt rsonpath.Optimizations) Variant {
+	return Variant{label, rsonpath.EngineRsonpath, []rsonpath.Option{rsonpath.WithOptimizations(opt)}}
+}
+
 // AblationVariants are the engine configurations of the ablation study.
-var AblationVariants = []struct {
-	Label string
-	Opt   rsonpath.Optimizations
-}{
-	{"full", rsonpath.Optimizations{}},
-	{"no-headskip", rsonpath.Optimizations{NoHeadSkip: true}},
-	{"no-skip-children", rsonpath.Optimizations{NoSkipChildren: true}},
-	{"no-skip-siblings", rsonpath.Optimizations{NoSkipSiblings: true}},
-	{"no-skip-leaves", rsonpath.Optimizations{NoSkipLeaves: true}},
-	{"no-skipping", rsonpath.Optimizations{
+var AblationVariants = []Variant{
+	ablation("full", rsonpath.Optimizations{}),
+	ablation("no-headskip", rsonpath.Optimizations{NoHeadSkip: true}),
+	ablation("no-skip-children", rsonpath.Optimizations{NoSkipChildren: true}),
+	ablation("no-skip-siblings", rsonpath.Optimizations{NoSkipSiblings: true}),
+	ablation("no-skip-leaves", rsonpath.Optimizations{NoSkipLeaves: true}),
+	ablation("no-skipping", rsonpath.Optimizations{
 		NoHeadSkip: true, NoSkipChildren: true, NoSkipSiblings: true, NoSkipLeaves: true,
-	}},
-	{"+tail-skip", rsonpath.Optimizations{TailSkip: true}},
+	}),
+	ablation("+tail-skip", rsonpath.Optimizations{TailSkip: true}),
 }
 
 // RunAblation measures the accelerated engine's variants on the given
@@ -317,7 +321,7 @@ func (h *Harness) RunAblation(specs []Spec) ([]Result, error) {
 	var out []Result
 	for _, spec := range specs {
 		for _, v := range AblationVariants {
-			r, err := h.RunSpecOptimized(spec, v.Opt, v.Label)
+			r, err := h.RunVariant(spec, v)
 			if err != nil {
 				return nil, fmt.Errorf("%s (%s): %w", spec.ID, v.Label, err)
 			}

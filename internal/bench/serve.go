@@ -143,7 +143,7 @@ func (h *Harness) RunServe() (ServeReport, error) {
 
 	// End to end: one daemon with the document cache on, one control with it
 	// off, both on loopback.
-	base, stop, err := startServeDaemon(server.Config{Timeout: 10 * time.Second, DocCacheSize: 64, DocCacheAfter: 2})
+	base, stop, err := startServeDaemon(server.Config{Timeout: 10 * time.Second, DocCacheSize: 64})
 	if err != nil {
 		return rep, err
 	}
@@ -192,7 +192,7 @@ func (h *Harness) RunServe() (ServeReport, error) {
 	// head-skip descendant query would spend its time in memmem either way.
 	matching := "$.items.*.author.*.affiliation.*.name"
 	for _, prime := range []string{base, ctrlBase} {
-		for i := 0; i < 3; i++ { // past DocCacheAfter on the cached daemon
+		for i := 0; i < 3; i++ { // past the second-sighting promotion on the cached daemon
 			if err := primeServe(client, prime, matching, repeatDoc); err != nil {
 				return rep, err
 			}

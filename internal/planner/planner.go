@@ -1,15 +1,17 @@
 // Package planner is the execution-plan layer: it turns the shape of a
 // compiled query, the run-time statistics of the document at hand, and the
-// caller's resolved options into an ExecutionPlan — which execution
-// strategy to run and why. Every public entry point of the library routes
-// its dispatch through Decide, so the cold/warm/indexed decision the
-// rsonpathd daemon makes for its clients is available to every library
-// caller (DESIGN.md §13).
+// configured engine into an ExecutionPlan — which execution strategy runs
+// and why. A plan decides exactly two things: whether the accelerated
+// engine scans the raw bytes or serves classification from a prebuilt
+// document index, and which engine WithEngine pinned. Decide runs where
+// that decision changes execution (RunIndexed, the daemon's indexed
+// dispatch) or is reported (Explain); cold runs do not consult it
+// (DESIGN.md §13).
 //
 // The planner follows simdjson's "pick the cheapest mechanism per stage"
-// design (Langdale & Lemire, PAPERS.md): each rule is a measured
-// observation about when one mechanism beats another, never a guess. The
-// rules and the measurements backing them:
+// design (Langdale & Lemire, PAPERS.md) and, like simdjson, decides only
+// from facts the code can observe. The rules and the measurements backing
+// them:
 //
 //   - indexed: a document mask index serves classification — the dominant
 //     cost of a run — from memory; warm runs are 3–5× faster than cold ones
@@ -17,16 +19,12 @@
 //     (BENCH_swar.json). Head-skip queries are excluded from the advice: a
 //     sparse leading-label scan is dominated by memmem over raw bytes, which
 //     an index cannot serve (DESIGN.md §11).
-//   - stackless: for descendant-only label chains the depth-register
-//     automaton (§3.2) beats the depth-stack simulation whenever head-skip
-//     is not in play — either disabled by the caller (0.65 vs 0.54 GB/s on
-//     Crossref, EXPERIMENTS.md) or useless because the sought label is
-//     dense (≈1.5× on dense chains at every document size).
-//   - head-skip: a leading descendant label on sparse documents is served
-//     fastest by skipping straight to each occurrence (0.75 vs 0.65 GB/s
-//     against stackless on Crossref).
-//   - skip: child+wildcard-only queries use the engine's JSONSki-style
-//     fast-forwarding repertoire (skip-children, skip-siblings).
+//   - scan: everything else runs the accelerated engine over the raw bytes.
+//     Head-skip, skip-children and skip-siblings are mechanisms inside that
+//     one scan (the paper's §3.3), so the plan has one scan strategy and its
+//     rule names the dominant mechanism for the query shape: head-skip for
+//     a leading descendant label, child-skipping for child/wildcard-only
+//     queries, depth-stack otherwise.
 //
 // Decide is a pure function: the same (Shape, DocStats, Constraints)
 // triple always produces the same Plan, which is what makes Explain output
@@ -35,28 +33,20 @@ package planner
 
 import "fmt"
 
-// Strategy is one execution mechanism the planner can select.
+// Strategy is one execution mechanism the planner can report.
 type Strategy int
 
 const (
-	// StrategyStandard is the accelerated engine's depth-stack simulation
-	// with the full skipping repertoire — the paper's default configuration.
-	StrategyStandard Strategy = iota
-	// StrategySkip is the accelerated engine on a child+wildcard-only
-	// query, where the JSONSki-style skip-children/skip-siblings
-	// fast-forwards dominate (no descendant selector, so no head-skip).
-	StrategySkip
-	// StrategyHeadSkip is the accelerated engine on a query with a leading
-	// descendant label: the engine skips straight to each occurrence of the
-	// sought label instead of walking the document.
-	StrategyHeadSkip
+	// StrategyScan is the accelerated engine over the raw document bytes:
+	// windowed classification, the depth-stack automaton and the full
+	// skipping repertoire (head-skip, skip-children, skip-siblings).
+	StrategyScan Strategy = iota
 	// StrategyIndexed serves per-block classification from a prebuilt
-	// document mask index (rsonpath.IndexedDocument) instead of re-running
-	// the SWAR kernels.
+	// document mask index (rsonpath.IndexedDocument) instead of classifying
+	// the raw bytes.
 	StrategyIndexed
-	// StrategyStackless is the depth-register automaton of §3.2:
-	// allocation-free, stack-free simulation for descendant-only label
-	// chains.
+	// StrategyStackless is the depth-register automaton of §3.2 for
+	// descendant-only label chains (selected only when forced).
 	StrategyStackless
 	// StrategySki is the JSONSki-analogue baseline engine (restricted
 	// wildcard semantics; selected only when forced).
@@ -66,7 +56,7 @@ const (
 	StrategySurfer
 	// StrategyDOM parses the document into a tree and evaluates
 	// recursively — the reference oracle, and the only strategy that
-	// supports path semantics.
+	// supports path semantics (selected only when forced).
 	StrategyDOM
 )
 
@@ -74,12 +64,8 @@ const (
 // daemon's /metrics and the CLI's -explain flag.
 func (s Strategy) String() string {
 	switch s {
-	case StrategyStandard:
-		return "standard"
-	case StrategySkip:
-		return "skip"
-	case StrategyHeadSkip:
-		return "head-skip"
+	case StrategyScan:
+		return "scan"
 	case StrategyIndexed:
 		return "indexed"
 	case StrategyStackless:
@@ -97,13 +83,13 @@ func (s Strategy) String() string {
 
 // NumStrategies is the number of distinct strategies, sized for fixed
 // per-strategy counter arrays.
-const NumStrategies = 8
+const NumStrategies = 6
 
 // Strategies lists every strategy in declaration order, for metrics
 // renderers that emit one counter per kind.
 var Strategies = [NumStrategies]Strategy{
-	StrategyStandard, StrategySkip, StrategyHeadSkip, StrategyIndexed,
-	StrategyStackless, StrategySki, StrategySurfer, StrategyDOM,
+	StrategyScan, StrategyIndexed, StrategyStackless,
+	StrategySki, StrategySurfer, StrategyDOM,
 }
 
 // IndexAmortizeRuns is the number of repeat runs over the same document at
@@ -115,19 +101,12 @@ const IndexAmortizeRuns = 8
 // Shape describes the compiled query in the terms the decision rules need.
 // It is derived once at compile time from the parsed selectors.
 type Shape struct {
-	// Selectors is the number of query steps.
-	Selectors int
 	// HasDescendant reports any ..-selector.
 	HasDescendant bool
-	// HasWildcard reports any *-selector.
-	HasWildcard bool
-	// LeadingDescendantLabel reports that the first selector is a
-	// descendant with at least one concrete label — the precondition of the
-	// engine's head-skip.
+	// LeadingDescendantLabel reports that the engine head-skips: the first
+	// selector is a descendant with at least one concrete label, and the
+	// caller has not disabled head-skip.
 	LeadingDescendantLabel bool
-	// DescendantChainOnly reports a pure descendant label chain
-	// ($..a..b.....z), the fragment the depth-register automaton supports.
-	DescendantChainOnly bool
 }
 
 // DocStats carries what is known about the document (and the workload)
@@ -146,28 +125,15 @@ type DocStats struct {
 	// document will serve in total (repeat queries, cache residency); 0
 	// when unknown.
 	ExpectedRuns int
-	// DenseMatches is the caller's hint that the query's sought labels
-	// occur densely in this document (most records contain them), which
-	// neutralizes head-skip.
-	DenseMatches bool
 }
 
-// Constraints is the part of the resolved compile options that binds the
-// planner.
+// Constraints is the part of the compile options that binds the planner.
+// The zero value is the default accelerated engine with no watchdog.
 type Constraints struct {
-	// Forced pins the strategy to ForcedStrategy: the caller chose an
-	// engine with WithEngine, which the planner honors as a constraint
-	// rather than running a parallel dispatch path.
-	Forced bool
-	// ForcedStrategy is the strategy of the forced engine.
-	ForcedStrategy Strategy
-	// PlannerOff disables the rules entirely (WithPlanner(PlannerOff)):
-	// the plan is the configured engine, exactly as if it were forced.
-	PlannerOff bool
-	// NoHeadSkip reports the caller disabled head-skip
-	// (WithOptimizations), which flips the best simulation strategy for
-	// descendant-only chains.
-	NoHeadSkip bool
+	// Strategy is the strategy of the configured engine: StrategyScan for
+	// the accelerated engine, which the rules may upgrade to the index; a
+	// baseline engine's own strategy otherwise, which the plan keeps.
+	Strategy Strategy
 	// WatchdogArmed reports a WithTimeout deadline: the plane-backed
 	// indexed path is atomic and has no cancellation points, so it is
 	// unavailable.
@@ -185,79 +151,38 @@ type Plan struct {
 // Decide maps (query shape × document stats × constraints) to a plan. It
 // is pure and allocation-free apart from the rationale string.
 func Decide(sh Shape, d DocStats, c Constraints) Plan {
-	if c.PlannerOff {
-		return upgradeIndexed(Plan{Strategy: c.ForcedStrategy, Rule: "planner-off",
-			Rationale: "planner disabled; running the configured engine"}, d, c)
-	}
-	if c.Forced {
-		return upgradeIndexed(Plan{Strategy: c.ForcedStrategy, Rule: "forced-engine",
-			Rationale: "engine forced by WithEngine"}, d, c)
+	if c.Strategy != StrategyScan {
+		return Plan{Strategy: c.Strategy, Rule: "forced-engine",
+			Rationale: "engine forced by WithEngine"}
 	}
 	if d.Indexed {
 		if c.WatchdogArmed {
-			return Plan{Strategy: autoScan(sh), Rule: "watchdog-streams",
+			return Plan{Strategy: StrategyScan, Rule: "watchdog-streams",
 				Rationale: "watchdog deadline needs the streaming path's cancellation points; the atomic plane-backed run is unavailable"}
 		}
 		return Plan{Strategy: StrategyIndexed, Rule: "indexed-available",
 			Rationale: "classification served from the prebuilt document mask index"}
 	}
 	if !d.Streaming && !c.WatchdogArmed && d.ExpectedRuns >= IndexAmortizeRuns &&
-		(autoScan(sh) != StrategyHeadSkip || d.DenseMatches) {
+		!sh.LeadingDescendantLabel {
 		// Head-skip excluded: memmem reads raw document bytes either way, so
-		// prebuilt planes never repay their build for a sparse leading-label
-		// query (DESIGN.md §11). Dense labels neutralize head-skip, putting
-		// classification back on the critical path where planes do pay.
+		// prebuilt planes never repay their build for a leading-label query
+		// (DESIGN.md §11).
 		return Plan{Strategy: StrategyIndexed, Rule: "index-amortizes",
 			Rationale: fmt.Sprintf("%d expected runs over the same document repay the one-time index build (break-even ~%d)",
 				d.ExpectedRuns, IndexAmortizeRuns)}
 	}
-	if sh.DescendantChainOnly && c.NoHeadSkip {
-		return Plan{Strategy: StrategyStackless, Rule: "stackless-registers",
-			Rationale: "head-skip disabled; the depth-register automaton beats the depth-stack simulation on descendant-only chains"}
-	}
-	if sh.DescendantChainOnly && d.DenseMatches {
-		return Plan{Strategy: StrategyStackless, Rule: "stackless-dense",
-			Rationale: "sought labels are dense, so head-skip gains nothing; the allocation-free depth-register automaton is faster"}
-	}
-	p := Plan{Strategy: autoScan(sh)}
-	switch p.Strategy {
-	case StrategyHeadSkip:
+	p := Plan{Strategy: StrategyScan}
+	switch {
+	case sh.LeadingDescendantLabel:
 		p.Rule, p.Rationale = "head-skip",
 			"leading descendant label: skip straight to each occurrence of the sought label"
-	case StrategySkip:
+	case !sh.HasDescendant:
 		p.Rule, p.Rationale = "child-skipping",
 			"child/wildcard-only query: ski-style subtree and sibling fast-forwarding"
 	default:
 		p.Rule, p.Rationale = "depth-stack",
 			"general query: depth-stack simulation with the full skipping repertoire"
-	}
-	return p
-}
-
-// autoScan names the accelerated engine's scan flavor for the query shape:
-// the executing engine is the same, but the dominant skipping mechanism —
-// what the plan reports — differs.
-func autoScan(sh Shape) Strategy {
-	switch {
-	case sh.LeadingDescendantLabel:
-		return StrategyHeadSkip
-	case !sh.HasDescendant:
-		return StrategySkip
-	default:
-		return StrategyStandard
-	}
-}
-
-// upgradeIndexed lets a pinned accelerated engine still serve from an
-// index in hand: WithEngine(EngineRsonpath) pins the engine, and the
-// plane-backed run IS that engine fed from precomputed masks. Baseline
-// engines have no plane surface and keep their pinned strategy.
-func upgradeIndexed(p Plan, d DocStats, c Constraints) Plan {
-	accelerated := p.Strategy == StrategyStandard || p.Strategy == StrategySkip ||
-		p.Strategy == StrategyHeadSkip
-	if d.Indexed && accelerated && !c.WatchdogArmed {
-		return Plan{Strategy: StrategyIndexed, Rule: "indexed-available",
-			Rationale: "classification served from the prebuilt document mask index"}
 	}
 	return p
 }
@@ -275,8 +200,8 @@ func PredictRuns(priorRuns int) int {
 }
 
 // ShouldIndex reports whether building a mask index for the document is
-// predicted to amortize — the library-side form of the promotion decision
-// the daemon's document cache used to make with an ad-hoc seen-count rule.
+// predicted to amortize — the promotion decision of the daemon's document
+// cache.
 func ShouldIndex(d DocStats) bool {
 	return !d.Streaming && !d.Indexed && d.ExpectedRuns >= IndexAmortizeRuns
 }

@@ -4,13 +4,9 @@ import "testing"
 
 // Shapes used across the boundary tests.
 var (
-	chainShape = Shape{Selectors: 2, HasDescendant: true,
-		LeadingDescendantLabel: true, DescendantChainOnly: true}
-	headSkipShape = Shape{Selectors: 2, HasDescendant: true,
-		LeadingDescendantLabel: true}
-	childShape    = Shape{Selectors: 2}
-	generalShape  = Shape{Selectors: 3, HasDescendant: true, HasWildcard: true}
-	wildcardShape = Shape{Selectors: 1, HasWildcard: true}
+	headSkipShape = Shape{HasDescendant: true, LeadingDescendantLabel: true}
+	childShape    = Shape{}
+	generalShape  = Shape{HasDescendant: true}
 )
 
 func decide(t *testing.T, sh Shape, d DocStats, c Constraints, wantStrategy Strategy, wantRule string) {
@@ -25,43 +21,29 @@ func decide(t *testing.T, sh Shape, d DocStats, c Constraints, wantStrategy Stra
 	}
 }
 
-// TestPlannerOff pins the off switch: the configured engine runs, the only
-// remaining decision being the plane upgrade for an index in hand.
-func TestPlannerOff(t *testing.T) {
-	off := Constraints{PlannerOff: true, ForcedStrategy: StrategyHeadSkip}
-	decide(t, chainShape, DocStats{}, off, StrategyHeadSkip, "planner-off")
-	// Even with stats that would select stackless under auto.
-	decide(t, chainShape, DocStats{DenseMatches: true}, off, StrategyHeadSkip, "planner-off")
-	// An index in hand still serves the accelerated engine from the planes.
-	decide(t, chainShape, DocStats{Indexed: true}, off, StrategyIndexed, "indexed-available")
-	// Baseline engines have no plane surface, so no upgrade.
-	offDOM := Constraints{PlannerOff: true, ForcedStrategy: StrategyDOM}
-	decide(t, chainShape, DocStats{Indexed: true}, offDOM, StrategyDOM, "planner-off")
-}
-
-// TestForcedEngine pins WithEngine as a constraint, not a parallel path.
+// TestForcedEngine pins WithEngine as a constraint, not a parallel path: a
+// baseline engine keeps its strategy whatever the stats say, while the
+// default engine's constraint (StrategyScan) leaves the rules in charge.
 func TestForcedEngine(t *testing.T) {
-	forced := Constraints{Forced: true, ForcedStrategy: StrategySurfer}
-	decide(t, chainShape, DocStats{}, forced, StrategySurfer, "forced-engine")
-	decide(t, chainShape, DocStats{Indexed: true}, forced, StrategySurfer, "forced-engine")
-	// A forced accelerated engine upgrades to the planes: the plane-backed
-	// run is the same engine fed from precomputed masks.
-	acc := Constraints{Forced: true, ForcedStrategy: StrategyHeadSkip}
-	decide(t, chainShape, DocStats{Indexed: true}, acc, StrategyIndexed, "indexed-available")
-	// ...unless the watchdog needs the streaming path.
-	accWD := Constraints{Forced: true, ForcedStrategy: StrategyHeadSkip, WatchdogArmed: true}
-	decide(t, chainShape, DocStats{Indexed: true}, accWD, StrategyHeadSkip, "forced-engine")
+	forced := Constraints{Strategy: StrategySurfer}
+	decide(t, headSkipShape, DocStats{}, forced, StrategySurfer, "forced-engine")
+	decide(t, headSkipShape, DocStats{Indexed: true}, forced, StrategySurfer, "forced-engine")
+	decide(t, childShape, DocStats{ExpectedRuns: 100}, forced, StrategySurfer, "forced-engine")
+	// The accelerated engine upgrades to the planes: the plane-backed run
+	// is the same engine fed from precomputed masks.
+	decide(t, headSkipShape, DocStats{Indexed: true}, Constraints{Strategy: StrategyScan},
+		StrategyIndexed, "indexed-available")
 }
 
 // TestIndexedAvailable pins the warm path: an index in hand wins over every
-// scan strategy, except under a watchdog deadline (the plane run is atomic).
+// scan, except under a watchdog deadline (the plane run is atomic).
 func TestIndexedAvailable(t *testing.T) {
 	decide(t, headSkipShape, DocStats{Indexed: true}, Constraints{},
 		StrategyIndexed, "indexed-available")
-	decide(t, chainShape, DocStats{Indexed: true, DenseMatches: true}, Constraints{},
+	decide(t, generalShape, DocStats{Indexed: true}, Constraints{},
 		StrategyIndexed, "indexed-available")
 	decide(t, headSkipShape, DocStats{Indexed: true}, Constraints{WatchdogArmed: true},
-		StrategyHeadSkip, "watchdog-streams")
+		StrategyScan, "watchdog-streams")
 }
 
 // TestIndexAmortizes pins the break-even boundary at IndexAmortizeRuns.
@@ -69,59 +51,54 @@ func TestIndexAmortizes(t *testing.T) {
 	decide(t, childShape, DocStats{ExpectedRuns: IndexAmortizeRuns}, Constraints{},
 		StrategyIndexed, "index-amortizes")
 	decide(t, childShape, DocStats{ExpectedRuns: IndexAmortizeRuns - 1}, Constraints{},
-		StrategySkip, "child-skipping")
+		StrategyScan, "child-skipping")
 	decide(t, generalShape, DocStats{ExpectedRuns: IndexAmortizeRuns}, Constraints{},
 		StrategyIndexed, "index-amortizes")
 	// A streamed document cannot be indexed: no bytes in memory to classify.
 	decide(t, childShape, DocStats{Streaming: true, ExpectedRuns: 100}, Constraints{},
-		StrategySkip, "child-skipping")
+		StrategyScan, "child-skipping")
 	// The watchdog blocks the atomic plane run the advice would lead to.
 	decide(t, childShape, DocStats{ExpectedRuns: 100}, Constraints{WatchdogArmed: true},
-		StrategySkip, "child-skipping")
-	// Head-skip shapes never take the advice on sparse labels: memmem reads
-	// raw bytes either way, so the build is never repaid (DESIGN.md §11)...
+		StrategyScan, "child-skipping")
+	// Head-skip shapes never take the advice: memmem reads raw bytes either
+	// way, so the build is never repaid (DESIGN.md §11).
 	decide(t, headSkipShape, DocStats{ExpectedRuns: 100}, Constraints{},
-		StrategyHeadSkip, "head-skip")
-	// ...but dense labels neutralize head-skip and the advice returns.
-	decide(t, headSkipShape, DocStats{ExpectedRuns: IndexAmortizeRuns, DenseMatches: true},
-		Constraints{}, StrategyIndexed, "index-amortizes")
+		StrategyScan, "head-skip")
 	// An index already in hand is sunk cost: even head-skip serves from it.
 	decide(t, headSkipShape, DocStats{Indexed: true}, Constraints{},
 		StrategyIndexed, "indexed-available")
 }
 
-// TestStacklessRules pins when the depth-register automaton wins: pure
-// descendant label chains with head-skip out of play — disabled by the
-// caller, or neutralized by dense labels (EXPERIMENTS.md measurements).
+// TestStacklessRules pins that the depth-register automaton is reached only
+// through WithEngine: no shape or stats reroute the default engine to it,
+// and a forced stackless engine stays stackless even with an index in hand
+// (it has no plane surface).
 func TestStacklessRules(t *testing.T) {
-	decide(t, chainShape, DocStats{}, Constraints{NoHeadSkip: true},
-		StrategyStackless, "stackless-registers")
-	decide(t, chainShape, DocStats{DenseMatches: true}, Constraints{},
-		StrategyStackless, "stackless-dense")
-	// Sparse labels with head-skip available: the head-skip scan is measured
-	// faster, so the chain stays on the accelerated engine.
-	decide(t, chainShape, DocStats{}, Constraints{},
-		StrategyHeadSkip, "head-skip")
-	// Not a pure chain: the automaton does not support the query.
-	decide(t, generalShape, DocStats{DenseMatches: true}, Constraints{},
-		StrategyStandard, "depth-stack")
-	decide(t, generalShape, DocStats{}, Constraints{NoHeadSkip: true},
-		StrategyStandard, "depth-stack")
+	for _, sh := range []Shape{headSkipShape, childShape, generalShape} {
+		for _, d := range []DocStats{{}, {Bytes: 1 << 20}, {Streaming: true}, {ExpectedRuns: 100}, {Indexed: true}} {
+			if p := Decide(sh, d, Constraints{}); p.Strategy == StrategyStackless {
+				t.Fatalf("Decide(%+v, %+v) rerouted the default engine to stackless", sh, d)
+			}
+		}
+	}
+	forced := Constraints{Strategy: StrategyStackless}
+	decide(t, headSkipShape, DocStats{}, forced, StrategyStackless, "forced-engine")
+	decide(t, headSkipShape, DocStats{Indexed: true}, forced, StrategyStackless, "forced-engine")
 }
 
-// TestScanFlavors pins the accelerated engine's flavor naming.
+// TestScanFlavors pins the one scan strategy and the rule naming the
+// dominant skipping mechanism for each shape.
 func TestScanFlavors(t *testing.T) {
-	decide(t, headSkipShape, DocStats{}, Constraints{}, StrategyHeadSkip, "head-skip")
-	decide(t, childShape, DocStats{}, Constraints{}, StrategySkip, "child-skipping")
-	decide(t, wildcardShape, DocStats{}, Constraints{}, StrategySkip, "child-skipping")
-	decide(t, generalShape, DocStats{}, Constraints{}, StrategyStandard, "depth-stack")
+	decide(t, headSkipShape, DocStats{}, Constraints{}, StrategyScan, "head-skip")
+	decide(t, childShape, DocStats{}, Constraints{}, StrategyScan, "child-skipping")
+	decide(t, generalShape, DocStats{}, Constraints{}, StrategyScan, "depth-stack")
 }
 
 // TestDecideDeterministic: Decide is pure — the same triple yields the same
 // plan, rationale included, which is what keeps Explain output stable.
 func TestDecideDeterministic(t *testing.T) {
 	d := DocStats{Bytes: 1 << 20, ExpectedRuns: 3}
-	for _, sh := range []Shape{chainShape, headSkipShape, childShape, generalShape} {
+	for _, sh := range []Shape{headSkipShape, childShape, generalShape} {
 		a := Decide(sh, d, Constraints{})
 		for i := 0; i < 10; i++ {
 			if b := Decide(sh, d, Constraints{}); b != a {
@@ -132,8 +109,7 @@ func TestDecideDeterministic(t *testing.T) {
 }
 
 // TestPredictRuns pins the serving layer's sighting→runs prediction and its
-// interlock with ShouldIndex: the default promotion point is the second
-// sighting, reproducing the daemon's historical seen-≥2 rule.
+// interlock with ShouldIndex: the promotion point is the second sighting.
 func TestPredictRuns(t *testing.T) {
 	cases := []struct{ seen, want int }{
 		{-1, 0}, {0, 0}, {1, IndexAmortizeRuns / 2}, {2, IndexAmortizeRuns}, {3, 12},
@@ -158,11 +134,11 @@ func TestPredictRuns(t *testing.T) {
 }
 
 // TestStrategyNames pins the stable strategy vocabulary: metrics series and
-// Explain output are built from these exact names.
+// Explain output are built from these exact names, so each must also be a
+// valid metric-name fragment.
 func TestStrategyNames(t *testing.T) {
 	want := map[Strategy]string{
-		StrategyStandard: "standard", StrategySkip: "skip",
-		StrategyHeadSkip: "head-skip", StrategyIndexed: "indexed",
+		StrategyScan: "scan", StrategyIndexed: "indexed",
 		StrategyStackless: "stackless", StrategySki: "ski",
 		StrategySurfer: "surfer", StrategyDOM: "dom",
 	}
@@ -179,5 +155,10 @@ func TestStrategyNames(t *testing.T) {
 			t.Fatalf("duplicate strategy name %q", name)
 		}
 		seen[name] = true
+		for _, c := range name {
+			if c < 'a' || c > 'z' {
+				t.Fatalf("strategy name %q is not a metric-name fragment", name)
+			}
+		}
 	}
 }

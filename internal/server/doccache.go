@@ -19,8 +19,8 @@ import (
 // the cache); once a document proves hot the index is built and every later
 // request with the same bytes serves its classification from the planes.
 // The promotion decision is the planner's PredictRuns/ShouldIndex pair —
-// the same rule library callers get from Query.Explain — unless the
-// operator pins a fixed sighting threshold (`after` > 0).
+// the same rule library callers get from Query.Explain — which promotes on
+// the second sighting.
 //
 // The cache is bounded two ways: by entry count (promoted and counting
 // entries alike — the map and list nodes are the cost being bounded) and by
@@ -36,7 +36,6 @@ type docCache struct {
 	mu       sync.Mutex
 	capacity int
 	bytesCap int64
-	after    int
 	entries  map[[sha256.Size]byte]*list.Element // value: *docEntry
 	lru      *list.List
 	resident int64 // summed footprint of promoted entries
@@ -56,17 +55,11 @@ type docEntry struct {
 // newDocCache returns a cache holding at most capacity entries and
 // bytesCap resident index bytes. capacity <= 0 disables the cache: lookup
 // always reports a miss and stores nothing. bytesCap <= 0 means the byte
-// bound is off (entry count alone bounds the cache). after <= 0 delegates
-// the promotion decision to the planner; a positive value is a fixed
-// sighting threshold.
-func newDocCache(capacity int, bytesCap int64, after int) *docCache {
-	if after < 0 {
-		after = 0
-	}
+// bound is off (entry count alone bounds the cache).
+func newDocCache(capacity int, bytesCap int64) *docCache {
 	return &docCache{
 		capacity: capacity,
 		bytesCap: bytesCap,
-		after:    after,
 		entries:  make(map[[sha256.Size]byte]*list.Element),
 		lru:      list.New(),
 	}
@@ -113,16 +106,12 @@ func (c *docCache) lookup(doc []byte, promote bool) (idx *rsonpath.IndexedDocume
 	return e.idx, e.idx != nil
 }
 
-// shouldPromote is the promotion decision: the operator's fixed sighting
-// threshold when one was configured, the planner's amortization prediction
-// otherwise (sightings so far → predicted future runs → build when the
-// build is predicted to repay itself).
+// shouldPromote is the promotion decision, the planner's amortization
+// prediction: sightings so far → predicted future runs → build when the
+// build is predicted to repay itself.
 func (c *docCache) shouldPromote(e *docEntry) bool {
 	if e.seen < 0 {
 		return false // pinned unpromotable (a failed build)
-	}
-	if c.after > 0 {
-		return e.seen >= c.after
 	}
 	return planner.ShouldIndex(planner.DocStats{
 		ExpectedRuns: planner.PredictRuns(e.seen),

@@ -3,33 +3,40 @@ package server
 import (
 	"fmt"
 	"testing"
+
+	"rsonpath"
 )
 
-// TestDocCachePromotion verifies the sighting threshold: no index on the
-// first lookups, a build at the threshold, hits after.
+// promote sights doc twice — the planner's promotion point — and returns
+// what the second lookup served.
+func promote(c *docCache, doc []byte) (*rsonpath.IndexedDocument, bool) {
+	c.lookup(doc, true)
+	return c.lookup(doc, true)
+}
+
+// TestDocCachePromotion verifies the planner's sighting threshold: no index
+// on the first lookup, a build on the second, hits after.
 func TestDocCachePromotion(t *testing.T) {
-	c := newDocCache(4, 0, 3)
+	c := newDocCache(4, 0)
 	doc := []byte(`{"a": 1}`)
-	for i := 1; i <= 2; i++ {
-		if idx, built := c.lookup(doc, true); idx != nil || built {
-			t.Fatalf("sighting %d: premature index (built=%v)", i, built)
-		}
+	if idx, built := c.lookup(doc, true); idx != nil || built {
+		t.Fatalf("first sighting: premature index (built=%v)", built)
 	}
 	idx, built := c.lookup(doc, true)
 	if idx == nil || !built {
-		t.Fatalf("third sighting: idx=%v built=%v, want build", idx, built)
+		t.Fatalf("second sighting: idx=%v built=%v, want build", idx, built)
 	}
 	idx2, built := c.lookup(doc, true)
 	if idx2 != idx || built {
-		t.Fatalf("fourth sighting: want hit of the same index (built=%v)", built)
+		t.Fatalf("third sighting: want hit of the same index (built=%v)", built)
 	}
 }
 
 // TestDocCacheContentKeyed verifies different bytes never share an entry.
 func TestDocCacheContentKeyed(t *testing.T) {
-	c := newDocCache(4, 0, 1)
-	a, _ := c.lookup([]byte(`{"a": 1}`), true)
-	b, _ := c.lookup([]byte(`{"a": 2}`), true)
+	c := newDocCache(4, 0)
+	a, _ := promote(c, []byte(`{"a": 1}`))
+	b, _ := promote(c, []byte(`{"a": 2}`))
 	if a == nil || b == nil || a == b {
 		t.Fatalf("content collision: %v %v", a, b)
 	}
@@ -37,18 +44,18 @@ func TestDocCacheContentKeyed(t *testing.T) {
 
 // TestDocCacheEviction fills past capacity and verifies LRU discard.
 func TestDocCacheEviction(t *testing.T) {
-	c := newDocCache(2, 0, 1)
+	c := newDocCache(2, 0)
 	docs := [][]byte{[]byte(`{"a": 1}`), []byte(`{"a": 2}`), []byte(`{"a": 3}`)}
 	for _, d := range docs {
-		if idx, _ := c.lookup(d, true); idx == nil {
-			t.Fatalf("threshold-1 lookup did not build for %s", d)
+		if idx, _ := promote(c, d); idx == nil {
+			t.Fatalf("second sighting did not build for %s", d)
 		}
 	}
 	if c.len() != 2 {
 		t.Fatalf("len = %d, want 2", c.len())
 	}
 	// The first document was evicted: looking it up again rebuilds.
-	if _, built := c.lookup(docs[0], true); !built {
+	if _, built := promote(c, docs[0]); !built {
 		t.Fatalf("evicted document served without a rebuild")
 	}
 }
@@ -63,16 +70,16 @@ func TestDocCacheByteBound(t *testing.T) {
 	doc := func(i int) []byte {
 		return []byte(fmt.Sprintf(`{"key%d": %q}`, i, make([]byte, 40)))
 	}
-	probe := newDocCache(8, 0, 1)
-	idx, _ := probe.lookup(doc(0), true)
+	probe := newDocCache(8, 0)
+	idx, _ := promote(probe, doc(0))
 	if idx == nil {
 		t.Fatal("probe build failed")
 	}
 	foot := int64(idx.Footprint())
 
-	c := newDocCache(8, 2*foot, 1)
+	c := newDocCache(8, 2*foot)
 	for i := 0; i < 3; i++ {
-		if got, _ := c.lookup(doc(i), true); got == nil {
+		if got, _ := promote(c, doc(i)); got == nil {
 			t.Fatalf("doc %d did not build", i)
 		}
 	}
@@ -84,7 +91,7 @@ func TestDocCacheByteBound(t *testing.T) {
 		t.Fatalf("builds=%d evicted=%d, want 3 builds and >=1 eviction", builds, evicted)
 	}
 	// The evicted (oldest) document rebuilds; the newest is still a hit.
-	if _, built := c.lookup(doc(0), true); !built {
+	if _, built := promote(c, doc(0)); !built {
 		t.Fatal("byte-evicted document served without a rebuild")
 	}
 	if _, built := c.lookup(doc(2), true); built {
@@ -96,7 +103,7 @@ func TestDocCacheByteBound(t *testing.T) {
 // existing indexes but never spends a build, and sightings still count so
 // promotion resumes once the pressure clears.
 func TestDocCacheNoPromote(t *testing.T) {
-	c := newDocCache(4, 0, 2)
+	c := newDocCache(4, 0)
 	doc := []byte(`{"a": 1}`)
 	for i := 0; i < 4; i++ {
 		if idx, built := c.lookup(doc, false); idx != nil || built {
@@ -117,7 +124,7 @@ func TestDocCacheNoPromote(t *testing.T) {
 // reject is remembered and not re-screened, and lookups keep reporting a
 // miss so requests run unindexed.
 func TestDocCacheMalformedNotRetried(t *testing.T) {
-	c := newDocCache(4, 0, 1)
+	c := newDocCache(4, 0)
 	bad := []byte(`{"a": [1, 2}`) // unbalanced: ] missing
 	for i := 0; i < 3; i++ {
 		if idx, built := c.lookup(bad, true); idx != nil || built {
@@ -131,7 +138,7 @@ func TestDocCacheMalformedNotRetried(t *testing.T) {
 
 // TestDocCacheDisabled verifies capacity 0 stores nothing.
 func TestDocCacheDisabled(t *testing.T) {
-	c := newDocCache(0, 0, 1)
+	c := newDocCache(0, 0)
 	for i := 0; i < 3; i++ {
 		if idx, built := c.lookup([]byte(`{"a": 1}`), true); idx != nil || built {
 			t.Fatalf("disabled cache built an index")
@@ -144,7 +151,7 @@ func TestDocCacheDisabled(t *testing.T) {
 
 // TestDocCacheConcurrent exercises the lock under -race.
 func TestDocCacheConcurrent(t *testing.T) {
-	c := newDocCache(8, 1<<20, 2)
+	c := newDocCache(8, 1<<20)
 	done := make(chan struct{})
 	for g := 0; g < 4; g++ {
 		go func(g int) {

@@ -56,7 +56,7 @@ type queryResponse struct {
 	// request: "hit", "built", "cold", or "off".
 	DocumentCache string `json:"document_cache,omitempty"`
 	// Plan is the execution-plan strategy the planner chose for this
-	// request ("indexed", "head-skip", ...), with the rule that chose it in
+	// request ("scan", "indexed", ...), with the rule that chose it in
 	// PlanRule; see rsonpath.Query.Explain.
 	Plan     string `json:"plan,omitempty"`
 	PlanRule string `json:"plan_rule,omitempty"`

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -26,7 +25,7 @@ type metrics struct {
 	errLimit   atomic.Int64 // resource-limit rejections
 	errTimeout atomic.Int64 // deadline/cancellation failures
 	errIntern  atomic.Int64 // internal faults that escaped the ladder
-	ndjsonRecs atomic.Int64 // NDJSON records evaluated
+	ndjsonRecs atomic.Int64 // NDJSON records handed to the visitor: matched, failed or degraded
 	docHits    atomic.Int64 // document-cache index hits
 	docBuilds  atomic.Int64 // document indexes built
 	durationNs atomic.Int64 // summed /v1/query wall time
@@ -115,8 +114,7 @@ func (m *metrics) render(w io.Writer, cache cacheGauges, docs docGauges, adm adm
 	p("rsonpathd_breaker_opens_total", "counter", adm.breakerOpens)
 	p("rsonpathd_goroutines", "gauge", int64(runtime.NumGoroutine()))
 	for i, s := range planner.Strategies {
-		name := strings.ReplaceAll(s.String(), "-", "_")
-		p("rsonpathd_plan_"+name+"_total", "counter", m.planRuns[i].Load())
+		p("rsonpathd_plan_"+s.String()+"_total", "counter", m.planRuns[i].Load())
 	}
 	fmt.Fprintf(w, "# TYPE rsonpathd_request_duration_seconds_sum counter\nrsonpathd_request_duration_seconds_sum %g\n",
 		time.Duration(m.durationNs.Load()).Seconds())

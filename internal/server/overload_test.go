@@ -363,7 +363,7 @@ func (p *plainRunner) RunLinesParallel(io.Reader, int, func(m rsonpath.LineMatch
 }
 
 func (p *plainRunner) Explain(rsonpath.DocStats) rsonpath.Plan {
-	return rsonpath.Plan{Strategy: "standard", Engine: rsonpath.EngineRsonpath, Rule: "test-fake"}
+	return rsonpath.Plan{Strategy: "scan", Engine: rsonpath.EngineRsonpath, Rule: "test-fake"}
 }
 
 // TestServeBreakerFailFast floods the daemon with degraded outcomes and
@@ -442,7 +442,7 @@ func (b *blockingRunner) RunLinesParallel(io.Reader, int, func(m rsonpath.LineMa
 }
 
 func (b *blockingRunner) Explain(rsonpath.DocStats) rsonpath.Plan {
-	return rsonpath.Plan{Strategy: "standard", Engine: rsonpath.EngineRsonpath, Rule: "test-fake"}
+	return rsonpath.Plan{Strategy: "scan", Engine: rsonpath.EngineRsonpath, Rule: "test-fake"}
 }
 
 // TestServeStreamFirstByte proves streamed responses deliver the first
@@ -476,11 +476,13 @@ func TestServeStreamFirstByte(t *testing.T) {
 		t.Fatalf("first frame %q", strings.TrimSpace(line))
 	}
 	// The frame arrived while the run is parked: first byte beat the
-	// evaluation's end by construction.
+	// evaluation's end by construction. emitted closes only after the first
+	// emit has flushed the frame, so the client may read it a moment before
+	// the close: wait for it rather than poll.
 	select {
 	case <-br.emitted:
-	default:
-		t.Fatal("frame read before the run emitted it?")
+	case <-time.After(5 * time.Second):
+		t.Fatal("the run never returned from its first emit")
 	}
 	select {
 	case <-br.release:

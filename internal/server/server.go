@@ -52,20 +52,15 @@ type Config struct {
 	// rsonpath.DefaultQueryCacheSize.
 	QueryCacheSize int
 	// DocCacheSize bounds the indexed-document LRU by entry count; 0
-	// disables document caching.
+	// disables document caching. A document's mask index is built when the
+	// execution planner predicts the build amortizes (planner.PredictRuns
+	// and planner.ShouldIndex: on the second sighting).
 	DocCacheSize int
 	// DocCacheBytes bounds the document cache by total resident bytes of
 	// promoted indexes (document copy + mask planes); <= 0 leaves only the
 	// entry-count bound. Byte-bounding is what actually protects the
 	// process: entry counts say nothing about 100 MB documents.
 	DocCacheBytes int64
-	// DocCacheAfter is the number of sightings of the same document bytes
-	// before its mask index is built. 0 (the default) lets the execution
-	// planner decide: sightings are fed through planner.PredictRuns and the
-	// index is built when planner.ShouldIndex predicts the build amortizes
-	// (with today's constants: on the second sighting). A positive value
-	// overrides the planner with a fixed threshold.
-	DocCacheAfter int
 	// Timeout is the per-request watchdog deadline (per record for NDJSON
 	// bodies); 0 disables it. Under brownout level BrownoutTightDeadlines
 	// the single-document deadline is halved.
@@ -73,13 +68,6 @@ type Config struct {
 	// FallbackOff disables the degradation ladder; internal engine faults
 	// then surface as HTTP 500 instead of a degraded 200.
 	FallbackOff bool
-	// RetryMax / RetryBackoff bound re-running a request's streaming
-	// attempts on transient reader errors (rsonpath.WithRetry). In-memory
-	// request bodies have no transient failures, so these matter only if a
-	// future transport streams documents; they are threaded for parity with
-	// the CLI.
-	RetryMax     int
-	RetryBackoff time.Duration
 	// MaxDepth, MaxMatches and MaxDocBytes are the per-run resource limits
 	// (rsonpath.WithMaxDepth and friends); 0 keeps each limit's library
 	// default.
@@ -203,7 +191,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:   cfg,
 		cache: rsonpath.NewQueryCache(cfg.QueryCacheSize),
-		docs:  newDocCache(cfg.DocCacheSize, cfg.DocCacheBytes, cfg.DocCacheAfter),
+		docs:  newDocCache(cfg.DocCacheSize, cfg.DocCacheBytes),
 		gate: admission.NewGate(admission.GateConfig{
 			Capacity:    int64(cfg.MaxConcurrency),
 			QueueDepth:  cfg.AdmissionQueue,
@@ -340,9 +328,6 @@ func (s *Server) baseOptions() []rsonpath.Option {
 	if s.cfg.FallbackOff {
 		opts = append(opts, rsonpath.WithFallback(rsonpath.FallbackOff))
 	}
-	if s.cfg.RetryMax > 0 {
-		opts = append(opts, rsonpath.WithRetry(s.cfg.RetryMax, s.cfg.RetryBackoff, transientReadError))
-	}
 	return opts
 }
 
@@ -351,15 +336,6 @@ func (s *Server) baseOptions() []rsonpath.Option {
 func withOpts(opts []rsonpath.Option, extra ...rsonpath.Option) []rsonpath.Option {
 	out := make([]rsonpath.Option, 0, len(opts)+len(extra))
 	return append(append(out, opts...), extra...)
-}
-
-// transientReadError is the retry classifier threaded from Config.RetryMax:
-// plain I/O errors are worth retrying, the library's typed verdicts
-// (malformed input, limits, cancellation) are not.
-func transientReadError(err error) bool {
-	return !errors.Is(err, rsonpath.ErrMalformed) &&
-		!errors.Is(err, rsonpath.ErrLimitExceeded) &&
-		!errors.Is(err, rsonpath.ErrCanceled)
 }
 
 // brownoutLevel reads the current ladder position (0 when the controller is

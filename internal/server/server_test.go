@@ -32,6 +32,10 @@ func startServer(t *testing.T, cfg Config) (*Server, string) {
 	done := make(chan error, 1)
 	go func() { done <- s.Serve() }()
 	t.Cleanup(func() {
+		// The default transport may hold a keep-alive connection that never
+		// carried a request; Shutdown waits up to 5 s for such connections,
+		// which would race the drain deadline below.
+		http.DefaultTransport.(*http.Transport).CloseIdleConnections()
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		if err := s.Shutdown(ctx); err != nil {
@@ -110,7 +114,7 @@ var serveCases = []struct {
 // three times per case: cold, index-build, and index-hit — the cached and
 // uncached paths must agree bytewise.
 func TestServeCompliance(t *testing.T) {
-	_, url := startServer(t, Config{DocCacheSize: 32, DocCacheAfter: 2})
+	_, url := startServer(t, Config{DocCacheSize: 32})
 	for _, c := range serveCases {
 		t.Run(c.name, func(t *testing.T) {
 			wantStates := []string{"cold", "built", "hit"}
@@ -362,7 +366,7 @@ func (d *degradedRunner) RunLinesParallel(r io.Reader, _ int, visit func(m rsonp
 }
 
 func (d *degradedRunner) Explain(rsonpath.DocStats) rsonpath.Plan {
-	return rsonpath.Plan{Strategy: "standard", Engine: rsonpath.EngineRsonpath, Rule: "test-fake"}
+	return rsonpath.Plan{Strategy: "scan", Engine: rsonpath.EngineRsonpath, Rule: "test-fake"}
 }
 
 // TestServeDegraded injects a degraded outcome through the compile seam and
@@ -607,7 +611,7 @@ func (sl *slowRunner) RunIndexedSupervised(ctx context.Context, doc *rsonpath.In
 }
 
 func (sl *slowRunner) Explain(rsonpath.DocStats) rsonpath.Plan {
-	return rsonpath.Plan{Strategy: "standard", Engine: rsonpath.EngineRsonpath, Rule: "test-fake"}
+	return rsonpath.Plan{Strategy: "scan", Engine: rsonpath.EngineRsonpath, Rule: "test-fake"}
 }
 
 func (sl *slowRunner) RunLinesParallel(io.Reader, int, func(m rsonpath.LineMatch) error) error {
@@ -736,13 +740,13 @@ func TestShutdownGoroutineAccounting(t *testing.T) {
 
 // TestServePlanReporting: each response names the execution plan that
 // served it, and /metrics counts served runs per strategy. The document
-// cache's planner-driven promotion (DocCacheAfter = 0) flips the plan from
-// the cold scan to the indexed path on the second sighting.
+// cache's planner-driven promotion flips the plan from the cold scan to the
+// indexed path on the second sighting.
 func TestServePlanReporting(t *testing.T) {
 	_, url := startServer(t, Config{DocCacheSize: 8})
 	req := queryRequest{Query: "$.a.b", Document: json.RawMessage(`{"a": {"b": 1}}`), Mode: "count"}
 	wantPlans := []struct{ plan, rule string }{
-		{"skip", "child-skipping"},
+		{"scan", "child-skipping"},
 		{"indexed", "indexed-available"},
 		{"indexed", "indexed-available"},
 	}
@@ -761,16 +765,45 @@ func TestServePlanReporting(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("head-skip round: status %d", status)
 	}
-	if resp.Plan != "head-skip" || resp.PlanRule != "head-skip" {
+	if resp.Plan != "scan" || resp.PlanRule != "head-skip" {
 		t.Fatalf("head-skip round: plan %q rule %q", resp.Plan, resp.PlanRule)
 	}
-	if n := metricValue(t, url, "rsonpathd_plan_skip_total"); n != 1 {
-		t.Fatalf("plan_skip_total = %d, want 1", n)
+	if n := metricValue(t, url, "rsonpathd_plan_scan_total"); n != 2 {
+		t.Fatalf("plan_scan_total = %d, want 2", n)
 	}
 	if n := metricValue(t, url, "rsonpathd_plan_indexed_total"); n != 2 {
 		t.Fatalf("plan_indexed_total = %d, want 2", n)
 	}
-	if n := metricValue(t, url, "rsonpathd_plan_head_skip_total"); n != 1 {
-		t.Fatalf("plan_head_skip_total = %d, want 1", n)
+}
+
+// TestMetricsNamesPinned pins the /metrics series the repository's
+// benchmark (cmd/rsonperf) reads. Its failure detection reads a missing
+// series as 0, so renaming one of these would not fail the benchmark — it
+// would silently switch the check off. Rename only together with rsonperf.
+func TestMetricsNamesPinned(t *testing.T) {
+	_, url := startServer(t, Config{})
+	for _, name := range []string{
+		"rsonpathd_requests_total",
+		"rsonpathd_query_cache_hits_total",
+		"rsonpathd_query_cache_misses_total",
+		"rsonpathd_doc_cache_hits_total",
+		"rsonpathd_plan_indexed_total",
+		"rsonpathd_ndjson_records_total",
+		"rsonpathd_degraded_total",
+		"rsonpathd_panics_total",
+		// rsonperf counts every series under these two prefixes as failures.
+		"rsonpathd_errors_bad_request_total",
+		"rsonpathd_errors_malformed_total",
+		"rsonpathd_errors_limit_total",
+		"rsonpathd_errors_timeout_total",
+		"rsonpathd_errors_internal_total",
+		"rsonpathd_errors_overload_total",
+		"rsonpathd_admission_shed_queue_full_total",
+		"rsonpathd_admission_shed_deadline_total",
+		"rsonpathd_admission_shed_bytes_total",
+		"rsonpathd_admission_shed_too_large_total",
+		"rsonpathd_admission_shed_brownout_total",
+	} {
+		metricValue(t, url, name) // fails the test when the series is missing
 	}
 }

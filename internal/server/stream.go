@@ -172,10 +172,12 @@ func (s *Server) serveSingleStream(w http.ResponseWriter, r *http.Request, req *
 		s.streamFail(w, sw, runErr)
 		return
 	}
+	// Counted before the trailer leaves, so a client that has read it never
+	// scrapes a stale counter.
+	s.met.streamed.Add(1)
 	sw.frame(&streamFrame{Done: &streamDone{Count: count, Plan: pl.Strategy, PlanRule: pl.Rule,
 		DurationMS: float64(time.Since(start)) / float64(time.Millisecond)}})
 	sw.flush()
-	s.met.streamed.Add(1)
 }
 
 // serveLinesStream is handleLines with per-record frames: each matched
@@ -227,11 +229,11 @@ func (s *Server) serveLinesStream(w http.ResponseWriter, r *http.Request, q quer
 		s.streamFail(w, sw, err)
 		return
 	}
+	s.met.streamed.Add(1) // before the trailer; see serveSingleStream
 	sw.frame(&streamFrame{Done: &streamDone{Count: count, RecordsMatched: matched,
 		RecordsFailed: failed, RecordsDegraded: degraded,
 		DurationMS: float64(time.Since(start)) / float64(time.Millisecond)}})
 	sw.flush()
-	s.met.streamed.Add(1)
 }
 
 // streamFail reports a failed streamed run: with nothing sent yet it is an

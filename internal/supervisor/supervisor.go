@@ -1,14 +1,13 @@
 // Package supervisor is the resilience layer above the engines: it wraps a
-// single query run in a watchdog deadline, a bounded retry policy for
-// transient failures, and a degradation ladder that re-runs the query on a
-// slower-but-trusted fallback engine when the primary fails with an
-// internal fault. It is the same engine-ladder idea the paper applies when
+// single query run in a watchdog deadline and a degradation ladder that
+// re-runs the query on a slower-but-trusted fallback engine when the
+// primary fails with an internal fault. It is the same engine-ladder idea the paper applies when
 // it validates rsonpath against serde-based oracles, promoted from the test
 // harness into the serving path.
 //
 // The package is deliberately engine-agnostic: an attempt is just a closure
-// and an engine name, and the caller supplies the error classifiers
-// (Retryable, Degradable). The root rsonpath package adapts Query and
+// and an engine name, and the caller supplies the error classifier
+// (Degradable). The root rsonpath package adapts Query and
 // QuerySet runs to it; nothing here knows about JSON.
 package supervisor
 
@@ -22,8 +21,8 @@ import (
 // evidence of degradation: a serving stack alerts on FallbackReason being
 // non-nil long before the primary engine's fault becomes user-visible.
 type Outcome struct {
-	// Attempts is the total number of engine runs: 1 for a clean first
-	// attempt, +1 per retry, +1 if the fallback ran.
+	// Attempts is the total number of engine runs: 1, or 2 when the
+	// fallback ran.
 	Attempts int
 	// Engine names the engine that produced the final result (or the final
 	// error): the primary's name, or the fallback's after degradation.
@@ -32,8 +31,8 @@ type Outcome struct {
 	// nil otherwise. A non-nil value with a nil run error means the ladder
 	// rescued the query.
 	FallbackReason error
-	// Duration is the wall-clock time of the whole supervised run, retries
-	// and fallback included.
+	// Duration is the wall-clock time of the whole supervised run, fallback
+	// included.
 	Duration time.Duration
 }
 
@@ -41,69 +40,40 @@ type Outcome struct {
 func (o Outcome) Degraded() bool { return o.FallbackReason != nil }
 
 // Attempt is one way of running the query: an engine name for the Outcome
-// and a closure that performs the run. The closure must be restartable — a
-// retry or fallback calls it (or its sibling) again, so it must reset any
-// state it accumulates (output buffers, reopened readers) at entry.
+// and a closure that performs the run. The primary and the fallback share
+// the caller's output buffers, so each closure must reset any state it
+// accumulates (output buffers, reopened readers) at entry.
 type Attempt struct {
 	Engine string
 	Run    func(ctx context.Context) error
 }
 
 // Policy configures a supervised run. The zero value supervises nothing
-// extra: no deadline, no retries, fallback enabled if a fallback attempt
-// and a Degradable classifier are supplied.
+// extra: no deadline, fallback enabled if a fallback attempt and a
+// Degradable classifier are supplied.
 type Policy struct {
-	// Timeout bounds the whole supervised run — retries and fallback share
-	// the one budget. 0 means no deadline beyond the caller's context.
+	// Timeout bounds the whole supervised run — the primary and the
+	// fallback share the one budget. 0 means no deadline beyond the
+	// caller's context.
 	Timeout time.Duration
 	// FallbackOff disables the degradation ladder even when a fallback
 	// attempt is available.
 	FallbackOff bool
-	// RetryMax is the number of retries of the primary attempt (so the
-	// primary runs at most RetryMax+1 times). Only errors classified by
-	// Retryable are retried.
-	RetryMax int
-	// RetryBackoff is slept between retries, observing the context.
-	RetryBackoff time.Duration
-	// Retryable classifies transient errors worth retrying. nil disables
-	// retries regardless of RetryMax.
-	Retryable func(error) bool
 	// Degradable classifies errors that trigger the fallback ladder. nil
 	// disables the ladder.
 	Degradable func(error) bool
-	// Sleep replaces the backoff sleep in tests. nil uses a timer that
-	// respects ctx.
-	Sleep func(ctx context.Context, d time.Duration) error
 }
 
-// sleep waits d or until ctx is done, whichever is first.
-func (p Policy) sleep(ctx context.Context, d time.Duration) error {
-	if p.Sleep != nil {
-		return p.Sleep(ctx, d)
-	}
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
-}
-
-// Run executes primary under the policy: retries on retryable errors, then
-// — if the terminal primary error is degradable and a fallback is given —
-// runs the fallback once. The returned error is the error of the attempt
-// that speaks last: nil if any attempt succeeded, the fallback's error if
-// the ladder ran and failed (the trusted engine's verdict outranks the
-// primary's fault), the primary's terminal error otherwise.
+// Run executes primary under the policy and — if its error is degradable
+// and a fallback is given — runs the fallback once. The primary is never
+// re-run. The returned error is the error of the attempt that speaks last:
+// nil if either attempt succeeded, the fallback's error if the ladder ran
+// and failed (the trusted engine's verdict outranks the primary's fault),
+// the primary's error otherwise.
 //
 // Cancellation is never laddered: once the context is done (including the
-// policy deadline expiring) no further attempts start, so a deadline cannot
-// be blown further by a slow fallback.
+// policy deadline expiring) the fallback does not start, so a deadline
+// cannot be blown further by a slow fallback.
 func Run(ctx context.Context, p Policy, primary Attempt, fallback *Attempt) (Outcome, error) {
 	start := time.Now()
 	if p.Timeout > 0 {
@@ -111,23 +81,8 @@ func Run(ctx context.Context, p Policy, primary Attempt, fallback *Attempt) (Out
 		ctx, cancel = context.WithTimeout(ctx, p.Timeout)
 		defer cancel()
 	}
-	o := Outcome{Engine: primary.Engine}
-
-	var err error
-	for try := 0; ; try++ {
-		o.Attempts++
-		err = primary.Run(ctx)
-		if err == nil || ctx.Err() != nil {
-			break
-		}
-		if try >= p.RetryMax || p.Retryable == nil || !p.Retryable(err) {
-			break
-		}
-		if serr := p.sleep(ctx, p.RetryBackoff); serr != nil {
-			break // canceled mid-backoff; report the attempt's error
-		}
-	}
-
+	o := Outcome{Engine: primary.Engine, Attempts: 1}
+	err := primary.Run(ctx)
 	if err != nil && ctx.Err() == nil &&
 		!p.FallbackOff && fallback != nil &&
 		p.Degradable != nil && p.Degradable(err) {

@@ -8,9 +8,8 @@ import (
 )
 
 var (
-	errTransient = errors.New("transient")
-	errInternal  = errors.New("internal fault")
-	errFatal     = errors.New("fatal")
+	errInternal = errors.New("internal fault")
+	errFatal    = errors.New("fatal")
 )
 
 // attemptScript returns an Attempt that yields the scripted errors in order
@@ -24,13 +23,6 @@ func attemptScript(name string, runs *int, script ...error) Attempt {
 		}
 		return script[i]
 	}}
-}
-
-func noSleep(t *testing.T, slept *int) func(context.Context, time.Duration) error {
-	return func(ctx context.Context, d time.Duration) error {
-		*slept++
-		return ctx.Err()
-	}
 }
 
 func TestCleanFirstAttempt(t *testing.T) {
@@ -47,47 +39,13 @@ func TestCleanFirstAttempt(t *testing.T) {
 	}
 }
 
-func TestRetryThenSuccess(t *testing.T) {
-	runs, slept := 0, 0
-	p := Policy{
-		RetryMax:  3,
-		Retryable: func(err error) bool { return errors.Is(err, errTransient) },
-		Sleep:     noSleep(t, &slept),
-	}
-	o, err := Run(context.Background(), p, attemptScript("fast", &runs, errTransient, errTransient, nil), nil)
-	if err != nil {
-		t.Fatalf("err %v", err)
-	}
-	if runs != 3 || o.Attempts != 3 || slept != 2 {
-		t.Fatalf("runs %d attempts %d slept %d", runs, o.Attempts, slept)
-	}
-	if o.Degraded() {
-		t.Fatalf("retry must not count as degradation: %+v", o)
-	}
-}
-
-func TestRetryBudgetExhausted(t *testing.T) {
-	runs, slept := 0, 0
-	p := Policy{
-		RetryMax:  2,
-		Retryable: func(err error) bool { return errors.Is(err, errTransient) },
-		Sleep:     noSleep(t, &slept),
-	}
-	_, err := Run(context.Background(), p, attemptScript("fast", &runs, errTransient), nil)
-	if !errors.Is(err, errTransient) {
-		t.Fatalf("err %v", err)
-	}
-	if runs != 3 { // 1 + RetryMax
-		t.Fatalf("runs %d", runs)
-	}
-}
-
+// TestNonRetryableNotRetried: the supervisor has no retry leg, so a failed
+// primary is terminal — it runs once and its error is the verdict.
 func TestNonRetryableNotRetried(t *testing.T) {
 	runs := 0
-	p := Policy{RetryMax: 5, Retryable: func(err error) bool { return errors.Is(err, errTransient) }}
-	_, err := Run(context.Background(), p, attemptScript("fast", &runs, errFatal), nil)
-	if !errors.Is(err, errFatal) || runs != 1 {
-		t.Fatalf("err %v runs %d", err, runs)
+	o, err := Run(context.Background(), Policy{}, attemptScript("fast", &runs, errFatal, nil), nil)
+	if !errors.Is(err, errFatal) || runs != 1 || o.Attempts != 1 {
+		t.Fatalf("err %v runs %d attempts %d", err, runs, o.Attempts)
 	}
 }
 
@@ -140,32 +98,10 @@ func TestNonDegradableNotLaddered(t *testing.T) {
 	}
 }
 
-func TestRetriesThenFallback(t *testing.T) {
-	pruns, fruns, slept := 0, 0, 0
-	p := Policy{
-		RetryMax:   1,
-		Retryable:  func(err error) bool { return errors.Is(err, errTransient) },
-		Degradable: func(err error) bool { return errors.Is(err, errInternal) },
-		Sleep:      noSleep(t, &slept),
-	}
-	fb := attemptScript("oracle", &fruns, nil)
-	o, err := Run(context.Background(), p, attemptScript("fast", &pruns, errTransient, errInternal), &fb)
-	if err != nil {
-		t.Fatalf("err %v", err)
-	}
-	if pruns != 2 || fruns != 1 || o.Attempts != 3 {
-		t.Fatalf("pruns %d fruns %d attempts %d", pruns, fruns, o.Attempts)
-	}
-}
-
 func TestCanceledContextStopsLadder(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	pruns, fruns := 0, 0
-	p := Policy{
-		RetryMax:   5,
-		Retryable:  func(error) bool { return true },
-		Degradable: func(error) bool { return true },
-	}
+	p := Policy{Degradable: func(error) bool { return true }}
 	primary := Attempt{Engine: "fast", Run: func(ctx context.Context) error {
 		pruns++
 		cancel() // the attempt observes cancellation mid-run
@@ -177,7 +113,7 @@ func TestCanceledContextStopsLadder(t *testing.T) {
 		t.Fatalf("err %v", err)
 	}
 	if pruns != 1 || fruns != 0 {
-		t.Fatalf("canceled context must stop retries and fallback: pruns %d fruns %d", pruns, fruns)
+		t.Fatalf("canceled context must stop the fallback: pruns %d fruns %d", pruns, fruns)
 	}
 }
 
@@ -198,30 +134,5 @@ func TestTimeoutAppliesToAttemptContext(t *testing.T) {
 	}
 	if o.Attempts != 1 {
 		t.Fatalf("attempts %d", o.Attempts)
-	}
-}
-
-func TestBackoffObservesCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	runs := 0
-	p := Policy{
-		RetryMax:     3,
-		RetryBackoff: time.Hour,
-		Retryable:    func(error) bool { return true },
-	}
-	primary := Attempt{Engine: "fast", Run: func(context.Context) error {
-		runs++
-		time.AfterFunc(10*time.Millisecond, cancel)
-		return errTransient
-	}}
-	done := make(chan error, 1)
-	go func() { _, err := Run(ctx, p, primary, nil); done <- err }()
-	select {
-	case err := <-done:
-		if !errors.Is(err, errTransient) || runs != 1 {
-			t.Fatalf("err %v runs %d", err, runs)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("backoff ignored cancellation")
 	}
 }

@@ -7,9 +7,7 @@ import "sort"
 // challenge in §6. This reference implementation re-runs later stages on
 // each matched subdocument; results keep node semantics (a set of nodes of
 // the original document, in document order) by deduplicating offsets across
-// stage outputs. Each stage run dispatches through its query's planner
-// (DESIGN.md §13), so a stage compiled under PlannerAuto picks its strategy
-// per subdocument.
+// stage outputs. Each stage runs on its own query's configured engine.
 type Pipeline struct {
 	stages []*Query
 }

@@ -8,34 +8,11 @@ import (
 )
 
 // This file is the public face of the execution-plan layer (DESIGN.md
-// §13): every entry point of Query and QuerySet routes its dispatch
-// through plan(), which turns the compiled query's shape, the run-time
-// document stats, and the resolved options into an ExecutionPlan. The
-// decision rules live in internal/planner; here they are bound to the
-// compiled artifacts and exposed through Explain.
-
-// PlannerMode selects how a Query picks its execution strategy per run.
-type PlannerMode int
-
-const (
-	// PlannerAuto (the default) lets the planner choose the cheapest
-	// correct strategy per run from the query shape and document stats:
-	// plane-backed runs when an index is in hand, the depth-register
-	// automaton where it is measured faster, head-skip streaming for
-	// sparse leading descendants, and so on (DESIGN.md §13 lists the
-	// rules). WithEngine still pins the engine — a forced engine is a
-	// planner constraint, not a separate dispatch path.
-	PlannerAuto PlannerMode = iota
-	// PlannerOff disables the rules: the configured engine runs every
-	// time, exactly as if it had been forced with WithEngine. Use it to
-	// pin measurements (ablations) or to freeze today's behavior.
-	PlannerOff
-)
-
-// WithPlanner selects the planner mode; the default is PlannerAuto.
-func WithPlanner(m PlannerMode) Option {
-	return func(c *config) { c.planner = m }
-}
+// §13). A plan decides two things: whether the accelerated engine scans the
+// raw bytes or serves classification from an IndexedDocument, and which
+// engine WithEngine pinned. Cold runs never consult it — there is nothing
+// to decide without an index — so Decide runs only in RunIndexed and in
+// Explain. The decision rules live in internal/planner.
 
 // IndexAmortizeRuns is the repeat-run count at which building a document
 // mask index is predicted to have repaid its build (BENCH_swar.json); the
@@ -59,10 +36,6 @@ type DocStats struct {
 	// At IndexAmortizeRuns and above the planner advises building an
 	// index.
 	ExpectedRuns int
-	// DenseMatches hints that the query's sought labels occur densely in
-	// this document (most records contain them), which neutralizes
-	// head-skip; known from prior runs or workload history.
-	DenseMatches bool
 }
 
 // Plan is one planning decision: the chosen strategy, the engine that
@@ -70,13 +43,13 @@ type DocStats struct {
 // human-readable rationale. Strategy and Rule values are stable across
 // releases; Rationale wording is documentation, not API.
 type Plan struct {
-	// Strategy is the stable strategy name: "standard", "skip",
-	// "head-skip", "indexed", "stackless", "ski", "surfer", or "dom".
+	// Strategy is the stable strategy name: "scan", "indexed",
+	// "stackless", "ski", "surfer", or "dom".
 	Strategy string
 	// Engine is the engine kind that executes the strategy.
 	Engine EngineKind
 	// Rule identifies the decision rule that fired, e.g. "forced-engine",
-	// "indexed-available", "index-amortizes", "stackless-registers".
+	// "indexed-available", "index-amortizes", "head-skip".
 	Rule string
 	// Rationale explains the decision in one sentence.
 	Rationale string
@@ -88,11 +61,11 @@ func (p Plan) String() string {
 }
 
 // Explain returns the execution plan the query would follow for a run over
-// a document with the given stats — the decision RunPlanned and the other
-// entry points make, exposed for observability and for callers that
-// orchestrate their own amortization (building an IndexedDocument when the
-// plan says "indexed" but none exists yet). The output is deterministic:
-// the same query and stats always produce the same plan.
+// a document with the given stats — for observability, and for callers
+// that orchestrate their own amortization: a plan with Strategy "indexed"
+// while stats.Indexed is false is advice to build an IndexedDocument
+// (Index) and switch to RunIndexed. The output is deterministic: the same
+// query and stats always produce the same plan.
 func (q *Query) Explain(stats DocStats) Plan {
 	return publicPlan(q.plan(stats.internal()))
 }
@@ -104,7 +77,6 @@ func (d DocStats) internal() planner.DocStats {
 		Streaming:    d.Streaming,
 		Indexed:      d.Indexed,
 		ExpectedRuns: d.ExpectedRuns,
-		DenseMatches: d.DenseMatches,
 	}
 }
 
@@ -130,38 +102,16 @@ func strategyEngine(s planner.Strategy) EngineKind {
 	case planner.StrategyDOM:
 		return EngineDOM
 	default:
-		// standard, skip, head-skip and indexed are all the accelerated
-		// engine; indexed is the same automaton fed from precomputed masks.
+		// scan and indexed are both the accelerated engine; indexed is the
+		// same automaton fed from precomputed masks.
 		return EngineRsonpath
 	}
 }
 
-// shapeOf derives the planner's query-shape facts from the parsed query.
-func shapeOf(parsed *jsonpath.Query) planner.Shape {
-	sh := planner.Shape{
-		Selectors:           len(parsed.Selectors),
-		HasDescendant:       parsed.HasDescendant(),
-		DescendantChainOnly: len(parsed.Selectors) > 0,
-	}
-	for i := range parsed.Selectors {
-		sel := &parsed.Selectors[i]
-		if sel.Wildcard {
-			sh.HasWildcard = true
-		}
-		if !sel.Descendant || sel.Wildcard || len(sel.Labels) != 1 || sel.SelectsIndices() {
-			sh.DescendantChainOnly = false
-		}
-	}
-	if len(parsed.Selectors) > 0 {
-		first := &parsed.Selectors[0]
-		sh.LeadingDescendantLabel = first.Descendant && len(first.Labels) > 0
-	}
-	return sh
-}
-
-// strategyForKind maps a configured engine kind to its pinned strategy;
-// the accelerated engine reports its scan flavor for the query shape.
-func strategyForKind(kind EngineKind, sh planner.Shape) planner.Strategy {
+// kindStrategy maps a configured engine kind to the strategy it pins; the
+// accelerated engine pins only the scan, which the rules may upgrade to the
+// index.
+func kindStrategy(kind EngineKind) planner.Strategy {
 	switch kind {
 	case EngineSurfer:
 		return planner.StrategySurfer
@@ -172,79 +122,27 @@ func strategyForKind(kind EngineKind, sh planner.Shape) planner.Strategy {
 	case EngineStackless:
 		return planner.StrategyStackless
 	default:
-		switch {
-		case sh.LeadingDescendantLabel:
-			return planner.StrategyHeadSkip
-		case !sh.HasDescendant:
-			return planner.StrategySkip
-		default:
-			return planner.StrategyStandard
-		}
+		return planner.StrategyScan
 	}
+}
+
+// shapeOf derives the planner's query-shape facts from the parsed query.
+// With head-skip disabled a leading descendant label is just a descendant:
+// the engine walks to it like any other, so the plan must not claim
+// head-skip.
+func shapeOf(parsed *jsonpath.Query, noHeadSkip bool) planner.Shape {
+	sh := planner.Shape{HasDescendant: parsed.HasDescendant()}
+	if len(parsed.Selectors) > 0 && !noHeadSkip {
+		first := &parsed.Selectors[0]
+		sh.LeadingDescendantLabel = first.Descendant && len(first.Labels) > 0
+	}
+	return sh
 }
 
 // plan runs the decision rules for this query over the given stats.
 func (q *Query) plan(stats planner.DocStats) planner.Plan {
 	return planner.Decide(q.shape, stats, planner.Constraints{
-		Forced:         q.forced,
-		ForcedStrategy: strategyForKind(q.kind, q.shape),
-		PlannerOff:     q.mode == PlannerOff,
-		NoHeadSkip:     q.noHeadSkip,
-		WatchdogArmed:  q.sup.timeout > 0,
-	})
-}
-
-// runnerFor resolves a plan to the runner that executes it and the engine
-// label reported in errors and Outcomes. StrategyIndexed resolves to the
-// primary engine: the plane-backed path is entered through RunIndexed,
-// which holds the planes; a plan that merely advises indexing (rule
-// "index-amortizes") scans normally until the caller builds the index.
-func (q *Query) runnerFor(p planner.Plan) (runner, string) {
-	if p.Strategy == planner.StrategyStackless && q.stackless != nil {
-		return q.stackless, EngineStackless.String()
-	}
-	return q.run, q.kind.String()
-}
-
-// planRunner plans a run over stats and resolves the executing runner in
-// one step — the dispatch core shared by the public entry points.
-func (q *Query) planRunner(stats planner.DocStats) (runner, string) {
-	return q.runnerFor(q.plan(stats))
-}
-
-// planInputRunner is planRunner for the streaming entry points: it plans
-// with the streaming fact set and resolves the chosen runner's streaming
-// surface. ok is false when the planned engine cannot stream (EngineDOM).
-func (q *Query) planInputRunner(stats planner.DocStats) (inputRunner, string, bool) {
-	stats.Streaming = true
-	run, label := q.planRunner(stats)
-	sr, ok := run.(inputRunner)
-	return sr, label, ok
-}
-
-// RunPlanned is Run with the caller's document stats in the planner's
-// hands: the strategy is chosen from the query shape, the stats, and the
-// compiled options, the run executes it, and the decision is returned
-// alongside the result. Run(data, emit) is exactly RunPlanned(data,
-// DocStats{}, emit) with the plan discarded.
-//
-// A returned plan with Strategy "indexed" and stats.Indexed false is
-// advice: the run scanned this time, but building an IndexedDocument
-// (Index) and switching to RunIndexed is predicted to amortize over
-// stats.ExpectedRuns runs.
-func (q *Query) RunPlanned(data []byte, stats DocStats, emit func(pos int)) (Plan, error) {
-	st := stats.internal()
-	st.Bytes = len(data)
-	st.Streaming = false
-	pl := q.plan(st)
-	if q.sup.timeout > 0 {
-		return publicPlan(pl), q.Run(data, emit)
-	}
-	if err := q.limits.checkDocBytes(len(data)); err != nil {
-		return publicPlan(pl), err
-	}
-	run, label := q.runnerFor(pl)
-	return publicPlan(pl), guardRun(label, func() error {
-		return run.Run(data, q.limits.limitEmit(emit))
+		Strategy:      kindStrategy(q.kind),
+		WatchdogArmed: q.sup.timeout > 0,
 	})
 }

@@ -5,24 +5,26 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 )
 
 // Tests for the execution-plan layer (DESIGN.md §13): the differential
-// suite pinning planner-auto results to every forced engine over the
-// compliance corpus, the Explain stability contract, the cache-key
-// regression, and the RunPlanned entry point.
+// suite pinning default-engine results to every forced engine over the
+// compliance corpus, the Explain stability contract, and the cache-key
+// regression.
 
-// autoVariants compiles the same query under every planner-auto
-// configuration whose dispatch can diverge: plain auto, auto with head-skip
-// disabled (flips descendant chains to the stackless alternate), and
-// planner off.
-var autoVariants = []struct {
+// planVariant is one named compile configuration of the differential.
+type planVariant struct {
 	name string
 	opts []Option
-}{
+}
+
+// autoVariants compiles the same query under every default-engine
+// configuration whose execution can diverge: plain, and with head-skip
+// disabled (descendant chains then run the pure depth-stack simulation).
+var autoVariants = []planVariant{
 	{"auto", nil},
 	{"auto-noheadskip", []Option{WithOptimizations(Optimizations{NoHeadSkip: true})}},
-	{"planner-off", []Option{WithPlanner(PlannerOff)}},
 }
 
 // runCorpus is every compliance case, slices included.
@@ -84,22 +86,30 @@ func TestPlannerDifferentialRun(t *testing.T) {
 }
 
 // TestPlannerDifferentialRunReader repeats the differential over the
-// streaming path (BufferedInput) with a small window, so every auto variant
-// is exercised through RunReader's planned dispatch too.
+// streaming path (BufferedInput) with a small window: every auto variant
+// and every forced streaming engine, through RunReader, against the DOM
+// oracle's offsets.
 func TestPlannerDifferentialRunReader(t *testing.T) {
+	variants := append([]planVariant(nil), autoVariants...)
+	for _, kind := range []EngineKind{EngineSurfer, EngineSki, EngineStackless} {
+		variants = append(variants, planVariant{kind.String(), []Option{WithEngine(kind)}})
+	}
 	for _, c := range plannerCorpus() {
 		t.Run(c.name, func(t *testing.T) {
-			ref := MustCompile(c.query, WithEngine(EngineRsonpath), WithPlanner(PlannerOff))
-			var want []int
-			if err := ref.RunReader(strings.NewReader(c.doc), func(pos int) {
-				want = append(want, pos)
-			}); err != nil {
-				t.Fatalf("[ref] run: %v", err)
+			want, err := MustCompile(c.query, WithEngine(EngineDOM)).MatchOffsets([]byte(c.doc))
+			if err != nil {
+				t.Fatalf("[dom] run: %v", err)
 			}
-			for _, v := range autoVariants {
+			for _, v := range variants {
 				q, err := Compile(c.query, append([]Option{WithStreamWindow(64)}, v.opts...)...)
+				if err == ErrUnsupportedQuery {
+					continue // restricted fragments (ski, stackless)
+				}
 				if err != nil {
 					t.Fatalf("[%s] compile: %v", v.name, err)
+				}
+				if q.Engine() == EngineSki && queryNeedsFullWildcard(c) {
+					continue // ski's wildcard skips object fields by design
 				}
 				var got []int
 				if err := q.RunReader(strings.NewReader(c.doc), func(pos int) {
@@ -127,25 +137,25 @@ func TestExplainStable(t *testing.T) {
 		want  string // Plan.String() — stable across runs and releases
 	}{
 		{"$..user.name", nil, DocStats{},
-			"strategy=head-skip engine=rsonpath rule=head-skip: leading descendant label: skip straight to each occurrence of the sought label"},
+			"strategy=scan engine=rsonpath rule=head-skip: leading descendant label: skip straight to each occurrence of the sought label"},
 		{"$.a.b[*]", nil, DocStats{},
-			"strategy=skip engine=rsonpath rule=child-skipping: child/wildcard-only query: ski-style subtree and sibling fast-forwarding"},
+			"strategy=scan engine=rsonpath rule=child-skipping: child/wildcard-only query: ski-style subtree and sibling fast-forwarding"},
 		{"$.a..b.*", nil, DocStats{},
-			"strategy=standard engine=rsonpath rule=depth-stack: general query: depth-stack simulation with the full skipping repertoire"},
-		{"$..a..b", nil, DocStats{DenseMatches: true},
-			"strategy=stackless engine=stackless rule=stackless-dense: sought labels are dense, so head-skip gains nothing; the allocation-free depth-register automaton is faster"},
+			"strategy=scan engine=rsonpath rule=depth-stack: general query: depth-stack simulation with the full skipping repertoire"},
 		{"$..a..b", []Option{WithOptimizations(Optimizations{NoHeadSkip: true})}, DocStats{},
-			"strategy=stackless engine=stackless rule=stackless-registers: head-skip disabled; the depth-register automaton beats the depth-stack simulation on descendant-only chains"},
+			"strategy=scan engine=rsonpath rule=depth-stack: general query: depth-stack simulation with the full skipping repertoire"},
 		{"$..a", nil, DocStats{Indexed: true},
 			"strategy=indexed engine=rsonpath rule=indexed-available: classification served from the prebuilt document mask index"},
 		{"$.a.b", nil, DocStats{ExpectedRuns: 8},
 			"strategy=indexed engine=rsonpath rule=index-amortizes: 8 expected runs over the same document repay the one-time index build (break-even ~8)"},
+		{"$.a.b", []Option{WithEngine(EngineRsonpath)}, DocStats{ExpectedRuns: 8},
+			"strategy=indexed engine=rsonpath rule=index-amortizes: 8 expected runs over the same document repay the one-time index build (break-even ~8)"},
 		{"$..a", nil, DocStats{ExpectedRuns: 100},
-			"strategy=head-skip engine=rsonpath rule=head-skip: leading descendant label: skip straight to each occurrence of the sought label"},
+			"strategy=scan engine=rsonpath rule=head-skip: leading descendant label: skip straight to each occurrence of the sought label"},
 		{"$..a", []Option{WithEngine(EngineSurfer)}, DocStats{},
 			"strategy=surfer engine=surfer rule=forced-engine: engine forced by WithEngine"},
-		{"$..a", []Option{WithPlanner(PlannerOff)}, DocStats{DenseMatches: true},
-			"strategy=head-skip engine=rsonpath rule=planner-off: planner disabled; running the configured engine"},
+		{"$..a..b", []Option{WithEngine(EngineStackless)}, DocStats{Indexed: true},
+			"strategy=stackless engine=stackless rule=forced-engine: engine forced by WithEngine"},
 	}
 	for _, c := range cases {
 		q := MustCompile(c.query, c.opts...)
@@ -166,19 +176,20 @@ func TestExplainStable(t *testing.T) {
 func TestExplainWatchdog(t *testing.T) {
 	q := MustCompile("$..a", WithTimeout(1e9))
 	p := q.Explain(DocStats{Indexed: true})
-	if p.Strategy != "head-skip" || p.Rule != "watchdog-streams" {
+	if p.Strategy != "scan" || p.Rule != "watchdog-streams" {
 		t.Fatalf("watchdog plan = %+v", p)
 	}
 }
 
-// TestStacklessAutoDispatch proves the alternate runner actually executes:
-// a descendant-only chain compiled with head-skip disabled plans stackless
-// and still matches the forced engines bytewise.
+// TestStacklessAutoDispatch pins that the default engine is never rerouted
+// to the depth-register automaton: a descendant-only chain compiled with
+// head-skip disabled plans the depth-stack scan — what an ablation of
+// head-skip must measure — and still matches the forced engines bytewise.
 func TestStacklessAutoDispatch(t *testing.T) {
 	doc := []byte(`{"a": {"x": {"b": 1}, "b": {"b": 2}}, "c": {"a": {"b": 3}}}`)
 	auto := MustCompile("$..a..b", WithOptimizations(Optimizations{NoHeadSkip: true}))
-	if p := auto.Explain(DocStats{Bytes: len(doc)}); p.Engine != EngineStackless {
-		t.Fatalf("plan = %+v, want stackless", p)
+	if p := auto.Explain(DocStats{Bytes: len(doc)}); p.Engine != EngineRsonpath || p.Rule != "depth-stack" {
+		t.Fatalf("plan = %+v, want the depth-stack scan", p)
 	}
 	got, err := auto.MatchOffsets(doc)
 	if err != nil {
@@ -195,102 +206,58 @@ func TestStacklessAutoDispatch(t *testing.T) {
 	}
 }
 
-// TestRunPlanned: the returned plan matches Explain, the matches match Run,
-// and ExpectedRuns past the break-even yields the indexed *advice* while
-// the run still scans (no index is in hand).
-func TestRunPlanned(t *testing.T) {
-	doc := []byte(`{"a": 1, "n": {"a": 2}}`)
-	q := MustCompile("$..a")
-	var offs []int
-	pl, err := q.RunPlanned(doc, DocStats{}, func(pos int) { offs = append(offs, pos) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pl.Strategy != "head-skip" {
-		t.Fatalf("plan = %+v", pl)
-	}
-	if fmt.Sprint(offs) != fmt.Sprint([]int{6, 20}) {
-		t.Fatalf("offsets = %v", offs)
-	}
-
-	// A repeat workload on a child query earns the indexed *advice*, while
-	// the run itself still scans (no index is in hand). Head-skip queries
-	// like $..a never get the advice — memmem cannot be served from planes.
-	qc := MustCompile("$.n.a")
-	offs = nil
-	pl, err = qc.RunPlanned(doc, DocStats{ExpectedRuns: 64}, func(pos int) { offs = append(offs, pos) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pl.Strategy != "indexed" || pl.Rule != "index-amortizes" {
-		t.Fatalf("plan = %+v, want indexed advice", pl)
-	}
-	if fmt.Sprint(offs) != fmt.Sprint([]int{20}) {
-		t.Fatalf("advisory plan must still scan; offsets = %v", offs)
-	}
-	// Acting on the advice: build the index, serve from it, same answer.
-	idx, err := Index(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var warm []int
-	if err := qc.RunIndexed(idx, func(pos int) { warm = append(warm, pos) }); err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(warm) != fmt.Sprint(offs) {
-		t.Fatalf("indexed offsets %v != scan %v", warm, offs)
-	}
-}
-
-// TestQueryCachePlannerKey is the collision regression: the same query text
-// under different planner configurations must compile (and cache) as
-// distinct artifacts — a cached plan must not leak across option sets.
+// TestQueryCachePlannerKey pins the cache key on resolved options:
+// WithEngine(EngineRsonpath) is the default, so it shares the default's
+// entry, while every option that changes the compiled artifact — engine,
+// timeout, fallback, limit, optimization, window — splits the key.
 func TestQueryCachePlannerKey(t *testing.T) {
 	cache := NewQueryCache(16)
-	auto, err := cache.Get("$..a")
+	def, err := cache.Get("$..a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	off, err := cache.Get("$..a", WithPlanner(PlannerOff))
+	pinned, err := cache.Get("$..a", WithEngine(EngineRsonpath))
 	if err != nil {
 		t.Fatal(err)
 	}
-	forced, err := cache.Get("$..a", WithEngine(EngineRsonpath))
-	if err != nil {
-		t.Fatal(err)
+	if pinned != def {
+		t.Fatal("WithEngine(EngineRsonpath) missed the default's cache entry")
 	}
-	if auto == off || auto == forced || off == forced {
-		t.Fatal("planner configurations collided in the cache")
+	seen := map[*Query]string{def: "default"}
+	for name, opt := range map[string]Option{
+		"engine":       WithEngine(EngineStackless),
+		"timeout":      WithTimeout(time.Second),
+		"fallback":     WithFallback(FallbackOff),
+		"limit":        WithMaxMatches(3),
+		"optimization": WithOptimizations(Optimizations{NoHeadSkip: true}),
+		"window":       WithStreamWindow(4096),
+	} {
+		q, err := cache.Get("$..a", opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if other, dup := seen[q]; dup {
+			t.Fatalf("%s option collided with %s in the cache", name, other)
+		}
+		seen[q] = name
 	}
-	if n := cache.Len(); n != 3 {
-		t.Fatalf("cache holds %d entries, want 3", n)
-	}
-	// Same config twice is still one entry (the key is canonical).
-	again, err := cache.Get("$..a", WithPlanner(PlannerOff))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again != off {
-		t.Fatal("identical options missed the cache")
-	}
-	// The cached artifacts really do plan differently.
-	if auto.Explain(DocStats{ExpectedRuns: 64}).Rule == off.Explain(DocStats{ExpectedRuns: 64}).Rule {
-		t.Fatal("auto and planner-off artifacts plan identically")
+	if n := cache.Len(); n != len(seen) {
+		t.Fatalf("cache holds %d entries, want %d", n, len(seen))
 	}
 }
 
-// TestQuerySetExplain: the set's plan layer reports the shared pass's
-// flavor and upgrades to the planes like a single query.
+// TestQuerySetExplain: the set's plan layer names the shared pass's
+// dominant mechanism and upgrades to the planes like a single query.
 func TestQuerySetExplain(t *testing.T) {
 	set := MustCompileSet([]string{"$..a", "$..b"})
-	if p := set.Explain(DocStats{}); p.Strategy != "head-skip" || p.Engine != EngineRsonpath {
+	if p := set.Explain(DocStats{}); p.Strategy != "scan" || p.Rule != "head-skip" || p.Engine != EngineRsonpath {
 		t.Fatalf("set plan = %+v", p)
 	}
 	if p := set.Explain(DocStats{Indexed: true}); p.Strategy != "indexed" {
 		t.Fatalf("set plan with index = %+v", p)
 	}
 	mixed := MustCompileSet([]string{"$..a", "$.b[*]"})
-	if p := mixed.Explain(DocStats{}); p.Strategy != "standard" {
+	if p := mixed.Explain(DocStats{}); p.Strategy != "scan" || p.Rule != "depth-stack" {
 		t.Fatalf("mixed set plan = %+v", p)
 	}
 }

@@ -2,7 +2,6 @@ package rsonpath
 
 import (
 	"container/list"
-	"reflect"
 	"strings"
 	"sync"
 )
@@ -35,35 +34,18 @@ type CacheStats struct {
 
 // cacheKey identifies one compiled artifact: the query text (for sets, the
 // member texts joined with an unescapable separator), whether it is a set,
-// and every option that changes what Compile produces. The retryable
-// predicate is a func and cannot be compared by value, so its code pointer
-// stands in for it: two closures created by the same expression at the same
-// site compare equal, distinct functions never collide with nil.
+// and every resolved option that changes what Compile produces. Options
+// are keyed by their resolved values, so Compile(q) and
+// Compile(q, WithEngine(EngineRsonpath)) share one entry.
 type cacheKey struct {
-	query string
-	set   bool
-	kind  EngineKind
-	// kindSet and planner are part of the key: under the plan layer the
-	// same (query, kind) pair compiles differently depending on whether the
-	// engine was forced (WithEngine is a planner constraint) and on the
-	// planner mode, so a cached query must not carry its plan behavior
-	// across differing option sets.
-	kindSet   bool
-	planner   PlannerMode
+	query     string
+	set       bool
+	kind      EngineKind
 	opt       Optimizations
 	semantics Semantics
 	window    int
 	limits    limits
-	sup       supervisionKey
-}
-
-// supervisionKey is supervision with the func field reduced to a pointer.
-type supervisionKey struct {
-	timeout      int64
-	fallback     FallbackMode
-	retryMax     int
-	retryBackoff int64
-	retryable    uintptr
+	sup       supervision
 }
 
 // keyFor resolves opts exactly the way Compile does and folds them into a
@@ -73,27 +55,15 @@ func keyFor(query string, set bool, opts []Option) cacheKey {
 	for _, o := range opts {
 		o(&c)
 	}
-	var retryPtr uintptr
-	if c.retryable != nil {
-		retryPtr = reflect.ValueOf(c.retryable).Pointer()
-	}
 	return cacheKey{
 		query:     query,
 		set:       set,
 		kind:      c.kind,
-		kindSet:   c.kindSet,
-		planner:   c.planner,
 		opt:       c.opt,
 		semantics: c.semantics,
 		window:    c.window,
 		limits:    c.resolveLimits(),
-		sup: supervisionKey{
-			timeout:      int64(c.timeout),
-			fallback:     c.fallback,
-			retryMax:     c.retryMax,
-			retryBackoff: int64(c.retryBackoff),
-			retryable:    retryPtr,
-		},
+		sup:       c.resolveSupervision(),
 	}
 }
 

@@ -47,11 +47,9 @@ type QuerySet struct {
 	limits limits
 	sup    supervision
 
-	// Plan layer: the planner mode and the union shape of the member
-	// queries. The shared one-pass driver is always the accelerated engine,
-	// so the set's planning decisions are the scan-vs-planes choice and the
-	// reported scan flavor, not an engine choice.
-	mode  PlannerMode
+	// shape is the union shape of the member queries. The shared pass
+	// always runs the accelerated engine, so the set's plan is the
+	// scan-vs-planes choice, never an engine choice.
 	shape planner.Shape
 }
 
@@ -89,7 +87,7 @@ func CompileSet(queries []string, opts ...Option) (*QuerySet, error) {
 	set.Limits(lim.maxDepth, lim.maxDocBytes)
 	return &QuerySet{sources: sources, parsed: parsedAll, set: set, window: c.window,
 		limits: lim, sup: c.resolveSupervision(),
-		mode: c.planner, shape: setShape(parsedAll)}, nil
+		shape: setShape(parsedAll)}, nil
 }
 
 // setShape is the union shape of the member queries: the shared pass can
@@ -98,36 +96,27 @@ func CompileSet(queries []string, opts ...Option) (*QuerySet, error) {
 func setShape(parsedAll []*jsonpath.Query) planner.Shape {
 	sh := planner.Shape{LeadingDescendantLabel: len(parsedAll) > 0}
 	for _, parsed := range parsedAll {
-		m := shapeOf(parsed)
-		sh.Selectors += m.Selectors
+		m := shapeOf(parsed, false)
 		sh.HasDescendant = sh.HasDescendant || m.HasDescendant
-		sh.HasWildcard = sh.HasWildcard || m.HasWildcard
 		sh.LeadingDescendantLabel = sh.LeadingDescendantLabel && m.LeadingDescendantLabel
 	}
-	// DescendantChainOnly stays false: the shared driver has no
-	// depth-register alternate, so the set never plans stackless.
 	return sh
 }
 
 // plan runs the decision rules for the set over the given stats. The set's
 // engine is structurally pinned to the accelerated one-pass driver, so only
-// the planner mode, the watchdog, and the document stats bind.
+// the watchdog and the document stats bind.
 func (s *QuerySet) plan(stats planner.DocStats) planner.Plan {
-	return planner.Decide(s.shape, stats, planner.Constraints{
-		PlannerOff:     s.mode == PlannerOff,
-		ForcedStrategy: strategyForKind(EngineRsonpath, s.shape),
-		WatchdogArmed:  s.sup.timeout > 0,
-	})
+	return planner.Decide(s.shape, stats, planner.Constraints{WatchdogArmed: s.sup.timeout > 0})
 }
 
 // Explain returns the execution plan the set would follow for a run over a
 // document with the given stats; see Query.Explain. The engine is always
 // EngineRsonpath — the shared one-pass driver — so the plan varies only in
-// the scan-vs-planes choice and the reported scan flavor.
+// the scan-vs-planes choice and the rule naming the scan's dominant
+// mechanism.
 func (s *QuerySet) Explain(stats DocStats) Plan {
-	p := publicPlan(s.plan(stats.internal()))
-	p.Engine = EngineRsonpath
-	return p
+	return publicPlan(s.plan(stats.internal()))
 }
 
 // MustCompileSet is CompileSet that panics on error, for fixed query sets.

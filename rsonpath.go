@@ -86,8 +86,6 @@ type Option func(*config)
 
 type config struct {
 	kind      EngineKind
-	kindSet   bool        // WithEngine was given: the engine is a forced planner constraint
-	planner   PlannerMode // WithPlanner; PlannerAuto by default
 	opt       Optimizations
 	semantics Semantics
 	window    int // RunReader window size; 0 = DefaultStreamWindow
@@ -97,22 +95,18 @@ type config struct {
 	maxMatches  int
 	maxDocBytes int
 
-	// Supervision (supervisor.go): watchdog deadline, degradation ladder,
-	// retry policy.
-	timeout      time.Duration
-	fallback     FallbackMode
-	retryMax     int
-	retryBackoff time.Duration
-	retryable    func(error) bool
+	// Supervision (supervisor.go): watchdog deadline and degradation
+	// ladder.
+	timeout  time.Duration
+	fallback FallbackMode
 }
 
-// WithEngine pins the execution engine. Under the planner this is a
-// constraint — the plan is forced to the chosen engine — not a separate
-// dispatch path; an accelerated engine in hand of an IndexedDocument still
-// serves from the index (the plane-backed run is the same engine fed from
-// precomputed masks).
+// WithEngine selects the execution engine; EngineRsonpath is the default,
+// so WithEngine(EngineRsonpath) changes nothing. Any other engine is a
+// planner constraint (rule "forced-engine"): it runs every time, index or
+// not, since only the accelerated engine can consume an IndexedDocument.
 func WithEngine(kind EngineKind) Option {
-	return func(c *config) { c.kind = kind; c.kindSet = true }
+	return func(c *config) { c.kind = kind }
 }
 
 // WithOptimizations overrides the accelerated engine's skipping toggles.
@@ -138,17 +132,9 @@ type Query struct {
 	// oracle is the DOM reference evaluator the supervisor degrades to on
 	// internal faults; nil when the query is already EngineDOM.
 	oracle *domRunner
-
-	// Plan layer (planner_api.go): the planner mode, whether the engine
-	// was forced with WithEngine, the query-shape facts the decision rules
-	// consume, and the compiled alternate runners the planner may dispatch
-	// to. stackless is non-nil only for descendant-only label chains
-	// compiled under PlannerAuto without a forced engine.
-	mode       PlannerMode
-	forced     bool
-	noHeadSkip bool
-	shape      planner.Shape
-	stackless  runner
+	// shape holds the query-shape facts the plan layer's rules consume
+	// (planner_api.go).
+	shape planner.Shape
 }
 
 // Compile parses and compiles a JSONPath expression.
@@ -167,8 +153,7 @@ func Compile(query string, opts ...Option) (*Query, error) {
 	lim := c.resolveLimits()
 	q := &Query{source: query, parsed: parsed, kind: c.kind, window: c.window,
 		limits: lim, sup: c.resolveSupervision(),
-		mode: c.planner, forced: c.kindSet, noHeadSkip: c.opt.NoHeadSkip,
-		shape: shapeOf(parsed)}
+		shape: shapeOf(parsed, c.opt.NoHeadSkip)}
 	if c.kind != EngineDOM {
 		q.oracle = &domRunner{query: parsed, semantics: dom.NodeSemantics, maxDepth: lim.maxDepth}
 	}
@@ -219,17 +204,6 @@ func Compile(query string, opts ...Option) (*Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Compile the planner's alternate runner: for descendant-only label
-	// chains under PlannerAuto the depth-register automaton is dispatched
-	// when head-skip is out of play (DESIGN.md §13). Compilation is a few
-	// label slices — cheap enough to do eagerly.
-	if c.planner == PlannerAuto && !c.kindSet && c.kind == EngineRsonpath &&
-		q.shape.DescendantChainOnly {
-		if sl, slErr := engine.NewStackless(parsed); slErr == nil {
-			sl.LimitDepth(lim.maxDepth)
-			q.stackless = sl
-		}
-	}
 	return q, nil
 }
 
@@ -252,9 +226,8 @@ func (q *Query) Source() string { return q.source }
 func (q *Query) Engine() EngineKind { return q.kind }
 
 // Run streams the document once, calling emit with the byte offset of the
-// first character of every matched value, in document order. The execution
-// strategy is chosen by the planner (DESIGN.md §13); Explain exposes the
-// decision, WithEngine pins it, WithPlanner(PlannerOff) disables it.
+// first character of every matched value, in document order, on the
+// configured engine (Explain reports the plan; DESIGN.md §13).
 //
 // Malformed input surfaces as *MalformedError, a configured limit being hit
 // as *LimitError, and an internal fault as *InternalError (never a panic);
@@ -268,9 +241,8 @@ func (q *Query) Run(data []byte, emit func(pos int)) error {
 	if err := q.limits.checkDocBytes(len(data)); err != nil {
 		return err
 	}
-	run, label := q.planRunner(planner.DocStats{Bytes: len(data)})
-	return guardRun(label, func() error {
-		return run.Run(data, q.limits.limitEmit(emit))
+	return guardRun(q.kind.String(), func() error {
+		return q.run.Run(data, q.limits.limitEmit(emit))
 	})
 }
 
@@ -302,9 +274,8 @@ func (q *Query) MatchValues(data []byte) (out [][]byte, err error) {
 	if err := q.limits.checkDocBytes(len(data)); err != nil {
 		return nil, err
 	}
-	run, label := q.planRunner(planner.DocStats{Bytes: len(data)})
 	var extractErr error
-	runErr := guardRun(label, func() error {
+	runErr := guardRun(q.kind.String(), func() error {
 		defer func() {
 			if r := recover(); r != nil {
 				if _, ok := r.(stopRun); !ok {
@@ -312,7 +283,7 @@ func (q *Query) MatchValues(data []byte) (out [][]byte, err error) {
 				}
 			}
 		}()
-		return run.Run(data, q.limits.limitEmit(func(pos int) {
+		return q.run.Run(data, q.limits.limitEmit(func(pos int) {
 			v, err := ValueAt(data, pos)
 			if err != nil {
 				extractErr = err

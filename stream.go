@@ -6,7 +6,6 @@ import (
 	"io"
 
 	"rsonpath/internal/input"
-	"rsonpath/internal/planner"
 )
 
 // ErrStreamingUnsupported is returned by the RunReader family for engines
@@ -45,7 +44,7 @@ type inputRunner interface {
 // Malformed input surfaces as *MalformedError, a configured limit being hit
 // as *LimitError, and an internal fault as *InternalError (never a panic).
 func (q *Query) RunReader(r io.Reader, emit func(pos int)) error {
-	sr, label, ok := q.planInputRunner(planner.DocStats{})
+	sr, ok := q.run.(inputRunner)
 	if !ok {
 		return ErrStreamingUnsupported
 	}
@@ -58,7 +57,7 @@ func (q *Query) RunReader(r io.Reader, emit func(pos int)) error {
 	if q.limits.maxDocBytes > 0 {
 		in.LimitDocBytes(q.limits.maxDocBytes)
 	}
-	return guardRun(label, func() error {
+	return guardRun(q.kind.String(), func() error {
 		return sr.RunInput(in, q.limits.limitEmit(emit))
 	})
 }
@@ -69,7 +68,7 @@ func (q *Query) RunReader(r io.Reader, emit func(pos int)) error {
 // matched value larger than the window's capacity aborts the run with
 // *input.Error. Engines that cannot stream return ErrStreamingUnsupported.
 func (q *Query) RunReaderValues(r io.Reader, visit func(pos int, value []byte)) error {
-	sr, label, ok := q.planInputRunner(planner.DocStats{})
+	sr, ok := q.run.(inputRunner)
 	if !ok {
 		return ErrStreamingUnsupported
 	}
@@ -79,7 +78,7 @@ func (q *Query) RunReaderValues(r io.Reader, visit func(pos int, value []byte)) 
 		in.LimitDocBytes(q.limits.maxDocBytes)
 	}
 	var extractErr error
-	runErr := guardRun(label, func() (err error) {
+	runErr := guardRun(q.kind.String(), func() (err error) {
 		defer func() {
 			if r := recover(); r != nil {
 				if _, ok := r.(stopRun); !ok {

@@ -243,52 +243,22 @@ func TestRunReaderSupervisedFallback(t *testing.T) {
 	}
 }
 
-// TestRunReaderSupervisedRetry: a transient reader error satisfying the
-// caller's predicate is retried with a fresh reader; the retry succeeds and
-// the outcome reports both attempts without degradation.
-func TestRunReaderSupervisedRetry(t *testing.T) {
+// TestRunReaderSupervisedReaderError: the supervisor has no retry leg, so
+// a reader error surfaces from the one attempt that met it — the input is
+// opened once, and a non-degradable error leaves the ladder cold.
+func TestRunReaderSupervisedReaderError(t *testing.T) {
 	doc := []byte(`{"a": 1, "b": {"a": 2}}`)
-	q := MustCompile("$..a", WithRetry(2, time.Millisecond, func(err error) bool {
-		return errors.Is(err, faultreader.ErrInjected)
-	}))
-	opens := 0
-	var got []int
-	oc, err := q.RunReaderSupervised(context.Background(), func() (io.Reader, error) {
-		opens++
-		if opens == 1 {
-			return faultreader.ErrorAfter(doc, len(doc)/2), nil
-		}
-		return bytes.NewReader(doc), nil
-	}, func(pos int) { got = append(got, pos) })
-	if err != nil {
-		t.Fatalf("supervised run: %v", err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("offsets %v, want 2 matches", got)
-	}
-	if oc.Degraded() || oc.Attempts != 2 || oc.Engine != "rsonpath" || opens != 2 {
-		t.Fatalf("outcome %+v opens %d, want clean second attempt", oc, opens)
-	}
-}
-
-// TestRunReaderSupervisedRetryBudget: a persistent reader error exhausts
-// the retry budget and surfaces; the error is not degradable, so the ladder
-// stays cold.
-func TestRunReaderSupervisedRetryBudget(t *testing.T) {
-	doc := []byte(`{"a": 1}`)
-	q := MustCompile("$.a", WithRetry(2, time.Millisecond, func(err error) bool {
-		return errors.Is(err, faultreader.ErrInjected)
-	}))
+	q := MustCompile("$..a")
 	opens := 0
 	oc, err := q.RunReaderSupervised(context.Background(), func() (io.Reader, error) {
 		opens++
-		return faultreader.ErrorAfter(doc, 2), nil
+		return faultreader.ErrorAfter(doc, len(doc)/2), nil
 	}, func(int) {})
 	if !errors.Is(err, faultreader.ErrInjected) {
 		t.Fatalf("err %v, want the injected reader error", err)
 	}
-	if oc.Degraded() || oc.Attempts != 3 || opens != 3 {
-		t.Fatalf("outcome %+v opens %d, want 3 undegraded attempts", oc, opens)
+	if oc.Degraded() || oc.Attempts != 1 || oc.Engine != "rsonpath" || opens != 1 {
+		t.Fatalf("outcome %+v opens %d, want one undegraded attempt", oc, opens)
 	}
 }
 

@@ -11,15 +11,13 @@ import (
 
 	"rsonpath/internal/dom"
 	"rsonpath/internal/input"
-	"rsonpath/internal/planner"
 	"rsonpath/internal/supervisor"
 )
 
 // This file is the public face of the execution supervisor (DESIGN.md §10):
-// watchdog deadlines, the degradation ladder from the accelerated engines
-// down to the DOM oracle, and bounded retries for transient reader errors.
-// The generic machinery lives in internal/supervisor; here it is adapted to
-// Query and QuerySet runs.
+// watchdog deadlines and the degradation ladder from the accelerated
+// engines down to the DOM oracle. The generic machinery lives in
+// internal/supervisor; here it is adapted to Query and QuerySet runs.
 
 // Outcome records how a supervised run settled: how many engine runs it
 // took, which engine produced the delivered result, and — when the
@@ -28,8 +26,8 @@ import (
 // the query was answered, but by the slow trusted path, and the primary's
 // fault deserves a report.
 type Outcome struct {
-	// Attempts is the total number of engine runs: 1 for a clean first
-	// attempt, +1 per retry, +1 if the fallback ran.
+	// Attempts is the total number of engine runs: 1, or 2 when the
+	// fallback ran.
 	Attempts int
 	// Engine names the engine that produced the final result (or final
 	// error): the query's own engine, or "dom" after degradation.
@@ -38,8 +36,8 @@ type Outcome struct {
 	// fallback ran, nil otherwise. It is always an *InternalError (the only
 	// degradable class).
 	FallbackReason error
-	// Duration is the wall-clock time of the whole supervised run, retries
-	// and fallback included.
+	// Duration is the wall-clock time of the whole supervised run, fallback
+	// included.
 	Duration time.Duration
 }
 
@@ -83,55 +81,24 @@ func WithFallback(m FallbackMode) Option {
 	return func(c *config) { c.fallback = m }
 }
 
-// WithRetry bounds re-running the streaming supervised entry points on
-// transient reader errors: an attempt whose error satisfies retryable is
-// re-run up to max more times, sleeping backoff in between (the sleep
-// observes the context). Retries re-open the input source. The default is
-// no retries; errors the predicate rejects are never retried. Retry applies
-// only to RunReaderSupervised — in-memory runs have no transient failures
-// worth repeating.
-func WithRetry(max int, backoff time.Duration, retryable func(error) bool) Option {
-	return func(c *config) {
-		c.retryMax = max
-		c.retryBackoff = backoff
-		c.retryable = retryable
-	}
-}
-
 // supervision is the resolved supervisor configuration carried by Query and
-// QuerySet.
+// QuerySet. It is comparable, so QueryCache keys on it directly.
 type supervision struct {
-	timeout      time.Duration
-	fallback     FallbackMode
-	retryMax     int
-	retryBackoff time.Duration
-	retryable    func(error) bool
+	timeout  time.Duration
+	fallback FallbackMode
 }
 
 func (c *config) resolveSupervision() supervision {
-	return supervision{
-		timeout:      c.timeout,
-		fallback:     c.fallback,
-		retryMax:     c.retryMax,
-		retryBackoff: c.retryBackoff,
-		retryable:    c.retryable,
-	}
+	return supervision{timeout: c.timeout, fallback: c.fallback}
 }
 
-// policy translates the supervision config for internal/supervisor. The
-// retry leg is enabled only on the streaming entry points.
-func (s supervision) policy(streaming bool) supervisor.Policy {
-	p := supervisor.Policy{
+// policy translates the supervision config for internal/supervisor.
+func (s supervision) policy() supervisor.Policy {
+	return supervisor.Policy{
 		Timeout:     s.timeout,
 		FallbackOff: s.fallback == FallbackOff,
 		Degradable:  degradable,
 	}
-	if streaming {
-		p.RetryMax = s.retryMax
-		p.RetryBackoff = s.retryBackoff
-		p.Retryable = s.retryable
-	}
-	return p
 }
 
 // degradable classifies the errors that trigger the ladder: internal faults
@@ -155,15 +122,15 @@ func (q *Query) runCtx(ctx context.Context, data []byte, emit func(pos int)) err
 	if err := ctx.Err(); err != nil {
 		return convertErr(err)
 	}
-	run, label := q.planRunner(planner.DocStats{Bytes: len(data)})
-	sr, ok := run.(inputRunner)
+	label := q.kind.String()
+	sr, ok := q.run.(inputRunner)
 	window := q.window
 	if window <= 0 {
 		window = DefaultStreamWindow
 	}
 	if !ok || ctx.Done() == nil || len(data) <= window {
 		return guardRun(label, func() error {
-			return run.Run(data, q.limits.limitEmit(emit))
+			return q.run.Run(data, q.limits.limitEmit(emit))
 		})
 	}
 	cr := newCtxReader(ctx, bytes.NewReader(data))
@@ -200,14 +167,11 @@ func (q *Query) oracleAttempt(data []byte, buf *[]int) *supervisor.Attempt {
 // (reusing scratch for the buffer).
 func (q *Query) runSupervisedOffsets(ctx context.Context, data []byte, scratch []int) ([]int, Outcome, error) {
 	buf := scratch[:0]
-	// The attempt label mirrors runCtx's own dispatch: Decide is pure, so
-	// planning the same stats twice names the engine that actually runs.
-	_, label := q.planRunner(planner.DocStats{Bytes: len(data)})
-	primary := supervisor.Attempt{Engine: label, Run: func(actx context.Context) error {
+	primary := supervisor.Attempt{Engine: q.kind.String(), Run: func(actx context.Context) error {
 		buf = buf[:0]
 		return q.runCtx(actx, data, func(pos int) { buf = append(buf, pos) })
 	}}
-	so, err := supervisor.Run(ctx, q.sup.policy(false), primary, q.oracleAttempt(data, &buf))
+	so, err := supervisor.Run(ctx, q.sup.policy(), primary, q.oracleAttempt(data, &buf))
 	return buf, Outcome(so), err
 }
 
@@ -277,18 +241,19 @@ func (q *Query) readAllForOracle(open func() (io.Reader, error)) ([]byte, error)
 }
 
 // RunReaderSupervised is RunReader under the execution supervisor. Because
-// a stream cannot be rewound, every attempt — the first run, each retry
-// (WithRetry), and the DOM fallback — opens a fresh reader via open; if the
-// reader it returns is an io.Closer it is closed when the attempt ends. The
+// a stream cannot be rewound, each attempt — the first run and the DOM
+// fallback — opens a fresh reader via open; if the reader it returns is an
+// io.Closer it is closed when the attempt ends. The
 // fallback buffers the whole document (the oracle cannot stream), and
 // matches are delivered only once the run settles, so memory is bounded by
 // the stream window plus the match offsets — or the document size if the
 // ladder runs. Engines that cannot stream return ErrStreamingUnsupported;
 // use RunSupervised with the buffered document instead.
 func (q *Query) RunReaderSupervised(ctx context.Context, open func() (io.Reader, error), emit func(pos int)) (Outcome, error) {
-	sr, label, ok := q.planInputRunner(planner.DocStats{})
+	label := q.kind.String()
+	sr, ok := q.run.(inputRunner)
 	if !ok {
-		return Outcome{Engine: q.kind.String()}, ErrStreamingUnsupported
+		return Outcome{Engine: label}, ErrStreamingUnsupported
 	}
 	var buf []int
 	primary := supervisor.Attempt{Engine: label, Run: func(actx context.Context) error {
@@ -328,7 +293,7 @@ func (q *Query) RunReaderSupervised(ctx context.Context, open func() (io.Reader,
 			})
 		}}
 	}
-	so, err := supervisor.Run(ctx, q.sup.policy(true), primary, fb)
+	so, err := supervisor.Run(ctx, q.sup.policy(), primary, fb)
 	oc := Outcome(so)
 	if err != nil && degradable(err) {
 		buf = nil
@@ -421,7 +386,7 @@ func (s *QuerySet) runSupervisedMatches(ctx context.Context, data []byte, scratc
 		}
 		return s.runOracle(data, &buf)
 	}}
-	so, err := supervisor.Run(ctx, s.sup.policy(false), primary, fb)
+	so, err := supervisor.Run(ctx, s.sup.policy(), primary, fb)
 	return buf, Outcome(so), err
 }
 
