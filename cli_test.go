@@ -394,6 +394,25 @@ func TestCLIRsonpathIndexed(t *testing.T) {
 	}
 }
 
+// readBenchResults decodes a stamped BENCH file, checks its stamp, and
+// returns its result records.
+func readBenchResults(t *testing.T, data []byte, name string) []map[string]any {
+	t.Helper()
+	var file struct {
+		Stamp   map[string]any   `json:"stamp"`
+		Results []map[string]any `json:"results"`
+	}
+	if err := json.Unmarshal(data, &file); err != nil {
+		t.Fatalf("%s is not valid JSON: %v", name, err)
+	}
+	for _, field := range []string{"nproc", "gomaxprocs", "simd_backend", "go_version", "commit", "dirty"} {
+		if _, ok := file.Stamp[field]; !ok {
+			t.Fatalf("%s stamp %v missing field %q", name, file.Stamp, field)
+		}
+	}
+	return file.Results
+}
+
 func TestCLIRsonbenchMultiQueryJSON(t *testing.T) {
 	bin := buildTool(t, "rsonbench")
 	dir := t.TempDir()
@@ -412,10 +431,7 @@ func TestCLIRsonbenchMultiQueryJSON(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BENCH_multiquery.json not written: %v", err)
 	}
-	var results []map[string]any
-	if err := json.Unmarshal(data, &results); err != nil {
-		t.Fatalf("BENCH_multiquery.json is not valid JSON: %v", err)
-	}
+	results := readBenchResults(t, data, "BENCH_multiquery.json")
 	if len(results) != 4 {
 		t.Fatalf("expected 4 workload records, got %d", len(results))
 	}
@@ -447,10 +463,7 @@ func TestCLIRsonbenchParallelLinesJSON(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BENCH_parallel_lines.json not written: %v", err)
 	}
-	var results []map[string]any
-	if err := json.Unmarshal(data, &results); err != nil {
-		t.Fatalf("BENCH_parallel_lines.json is not valid JSON: %v", err)
-	}
+	results := readBenchResults(t, data, "BENCH_parallel_lines.json")
 	if len(results) < 2 {
 		t.Fatalf("expected a sequential baseline plus at least one pool width, got %d records", len(results))
 	}

@@ -19,6 +19,7 @@ import (
 	"os/exec"
 	"os/signal"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"syscall"
@@ -65,7 +66,37 @@ func main() {
 	}
 }
 
-// writeJSON dumps v as DIR/BENCH_<name>.json when -json is set.
+// stamp records where a BENCH file was measured: figures from different
+// hosts, backends, toolchains or commits do not compare.
+type stamp struct {
+	Nproc       int    `json:"nproc"`
+	GOMAXPROCS  int    `json:"gomaxprocs"`
+	SimdBackend string `json:"simd_backend"`
+	GoVersion   string `json:"go_version"`
+	Commit      string `json:"commit"`
+	Dirty       bool   `json:"dirty"`
+}
+
+func newStamp() stamp {
+	s := stamp{
+		Nproc:       runtime.NumCPU(),
+		GOMAXPROCS:  runtime.GOMAXPROCS(0),
+		SimdBackend: simd.Backend(),
+		GoVersion:   runtime.Version(),
+		Commit:      "unknown",
+	}
+	// Outside a git checkout (or without git) the commit stays unknown.
+	if out, err := exec.Command("git", "rev-parse", "HEAD").Output(); err == nil {
+		s.Commit = strings.TrimSpace(string(out))
+		if out, err := exec.Command("git", "status", "--porcelain").Output(); err == nil {
+			s.Dirty = len(strings.TrimSpace(string(out))) > 0
+		}
+	}
+	return s
+}
+
+// writeJSON dumps v, stamped, as DIR/BENCH_<name>.json when -json is set:
+// {"stamp": {...}, "results": v}.
 func writeJSON(dir, name string, v any) error {
 	if dir == "" {
 		return nil
@@ -73,7 +104,10 @@ func writeJSON(dir, name string, v any) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	data, err := json.MarshalIndent(v, "", "  ")
+	data, err := json.MarshalIndent(struct {
+		Stamp   stamp `json:"stamp"`
+		Results any   `json:"results"`
+	}{newStamp(), v}, "", "  ")
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package rsonpath
 
 import (
+	"bytes"
 	"context"
 	"io"
 
@@ -87,6 +88,48 @@ func (c *ctxReader) Read(p []byte) (int, error) {
 	}
 }
 
+// ctxBytes reads a document held in memory under ctx: Read fails with the
+// context's error once ctx is done. Memory never blocks, so unlike
+// ctxReader it needs no pump goroutine, and nothing reads the document
+// after the run returns — the caller may reuse the buffer at once.
+type ctxBytes struct {
+	ctx context.Context
+	*bytes.Reader
+}
+
+func (r ctxBytes) Read(p []byte) (int, error) {
+	if err := r.ctx.Err(); err != nil {
+		return 0, err
+	}
+	return r.Reader.Read(p)
+}
+
+// runWindowed runs the streaming engine over r, which observes the run's
+// context at every window refill (a ctxReader or ctxBytes). The query's
+// engine must stream.
+func (q *Query) runWindowed(r io.Reader, emit func(pos int)) error {
+	in := input.NewBuffered(r, q.window)
+	defer in.Release()
+	if q.limits.maxDocBytes > 0 {
+		in.LimitDocBytes(q.limits.maxDocBytes)
+	}
+	return guardRun(q.kind.String(), func() error {
+		return q.run.(inputRunner).RunInput(in, q.limits.limitEmit(emit))
+	})
+}
+
+// runWindowed mirrors Query.runWindowed for the shared one-pass driver.
+func (s *QuerySet) runWindowed(r io.Reader, emit func(query, pos int)) error {
+	in := input.NewBuffered(r, s.window)
+	defer in.Release()
+	if s.limits.maxDocBytes > 0 {
+		in.LimitDocBytes(s.limits.maxDocBytes)
+	}
+	return guardRun("queryset", func() error {
+		return s.set.RunInput(in, s.limits.limitEmit2(emit))
+	})
+}
+
 // RunContext is Run with cancellation: matches are emitted incrementally,
 // during the scan, and the run observes ctx — at entry for documents within
 // one stream window (whose whole run is "within one refill"), at every
@@ -110,8 +153,7 @@ func (q *Query) RunContext(ctx context.Context, data []byte, emit func(pos int))
 // the context's own error) when ctx is done — even if the underlying reader
 // is blocked. Matches emitted before the cancellation have been delivered.
 func (q *Query) RunReaderContext(ctx context.Context, r io.Reader, emit func(pos int)) error {
-	sr, ok := q.run.(inputRunner)
-	if !ok {
+	if _, ok := q.run.(inputRunner); !ok {
 		return ErrStreamingUnsupported
 	}
 	if q.sup.timeout > 0 {
@@ -124,14 +166,7 @@ func (q *Query) RunReaderContext(ctx context.Context, r io.Reader, emit func(pos
 	}
 	cr := newCtxReader(ctx, r)
 	defer cr.stop()
-	in := input.NewBuffered(cr, q.window)
-	defer in.Release()
-	if q.limits.maxDocBytes > 0 {
-		in.LimitDocBytes(q.limits.maxDocBytes)
-	}
-	return guardRun(q.kind.String(), func() error {
-		return sr.RunInput(in, q.limits.limitEmit(emit))
-	})
+	return q.runWindowed(cr, emit)
 }
 
 // RunReaderContext is QuerySet.RunReader with cancellation, with the same
@@ -147,12 +182,5 @@ func (s *QuerySet) RunReaderContext(ctx context.Context, r io.Reader, emit func(
 	}
 	cr := newCtxReader(ctx, r)
 	defer cr.stop()
-	in := input.NewBuffered(cr, s.window)
-	defer in.Release()
-	if s.limits.maxDocBytes > 0 {
-		in.LimitDocBytes(s.limits.maxDocBytes)
-	}
-	return guardRun("queryset", func() error {
-		return s.set.RunInput(in, s.limits.limitEmit2(emit))
-	})
+	return s.runWindowed(cr, emit)
 }

@@ -111,11 +111,8 @@ func (q *Query) RunIndexedSupervised(ctx context.Context, doc *IndexedDocument, 
 		return q.RunSupervised(ctx, doc.data, emit)
 	}
 	var buf []int
-	primary := supervisor.Attempt{Engine: q.kind.String(), Run: func(actx context.Context) error {
+	primary := supervisor.Attempt{Engine: q.kind.String(), Atomic: true, Run: func(context.Context) error {
 		buf = buf[:0]
-		if err := actx.Err(); err != nil {
-			return convertErr(err)
-		}
 		if err := q.limits.checkDocBytes(len(doc.data)); err != nil {
 			return err
 		}
@@ -123,16 +120,8 @@ func (q *Query) RunIndexedSupervised(ctx context.Context, doc *IndexedDocument, 
 			return e.RunPlanes(doc.in, doc.planes, q.limits.limitEmit(func(pos int) { buf = append(buf, pos) }))
 		})
 	}}
-	so, err := supervisor.Run(ctx, q.sup.policy(), primary, q.oracleAttempt(doc.data, &buf))
-	oc := Outcome(so)
-	if err != nil && degradable(err) {
-		buf = nil
-	}
-	derr := deliverOffsets(oc.Engine, buf, emit)
-	if err == nil {
-		err = derr
-	}
-	return oc, err
+	oc, err := q.sup.run(ctx, primary, q.oracleAttempt(doc.data, &buf, 0))
+	return deliver(oc, err, buf, emit)
 }
 
 // CountIndexed returns the number of matches in the indexed document.

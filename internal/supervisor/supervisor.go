@@ -45,6 +45,10 @@ func (o Outcome) Degraded() bool { return o.FallbackReason != nil }
 // accumulates (output buffers, reopened readers) at entry.
 type Attempt struct {
 	Engine string
+	// Atomic marks a run that never looks at its context once started (a
+	// DOM parse, a plane run): it gets the caller's context as is, with no
+	// deadline timer, since Run's entry check is all it can observe.
+	Atomic bool
 	Run    func(ctx context.Context) error
 }
 
@@ -71,27 +75,49 @@ type Policy struct {
 // and failed (the trusted engine's verdict outranks the primary's fault),
 // the primary's error otherwise.
 //
-// Cancellation is never laddered: once the context is done (including the
-// policy deadline expiring) the fallback does not start, so a deadline
-// cannot be blown further by a slow fallback.
+// An attempt runs only if, at its entry, the caller's context is live and
+// the clock is short of the policy deadline; otherwise it settles on the
+// context's error (context.DeadlineExceeded for the deadline). Cancellation
+// is never laddered: past either, the fallback does not start, so a
+// deadline cannot be blown further by a slow fallback.
 func Run(ctx context.Context, p Policy, primary Attempt, fallback *Attempt) (Outcome, error) {
 	start := time.Now()
+	var deadline time.Time
 	if p.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, p.Timeout)
-		defer cancel()
+		deadline = start.Add(p.Timeout)
 	}
 	o := Outcome{Engine: primary.Engine, Attempts: 1}
-	err := primary.Run(ctx)
-	if err != nil && ctx.Err() == nil &&
+	err := run(ctx, deadline, primary)
+	if err != nil && expired(ctx, deadline) == nil &&
 		!p.FallbackOff && fallback != nil &&
 		p.Degradable != nil && p.Degradable(err) {
 		o.Attempts++
 		o.Engine = fallback.Engine
 		o.FallbackReason = err
-		err = fallback.Run(ctx)
+		err = run(ctx, deadline, *fallback)
 	}
 
 	o.Duration = time.Since(start)
 	return o, err
+}
+
+// run is one attempt under the deadline (zero: none).
+func run(ctx context.Context, deadline time.Time, a Attempt) error {
+	if err := expired(ctx, deadline); err != nil {
+		return err
+	}
+	if !a.Atomic && !deadline.IsZero() {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, deadline)
+		defer cancel()
+	}
+	return a.Run(ctx)
+}
+
+// expired returns why a run may not start, or nil.
+func expired(ctx context.Context, deadline time.Time) error {
+	if err := ctx.Err(); err != nil || deadline.IsZero() || time.Until(deadline) > 0 {
+		return err
+	}
+	return context.DeadlineExceeded
 }

@@ -2,7 +2,6 @@ package rsonpath
 
 import (
 	"context"
-	"errors"
 	"io"
 	"runtime"
 	"sync"
@@ -12,159 +11,99 @@ import (
 // §10): a bounded worker pool over JSON Lines with per-record fault
 // isolation, in-order delivery, and leak-free cancellation.
 
-// lineJob carries one record through the worker pool. done (capacity 1)
-// receives exactly one send when the job settles, whether a worker
-// evaluated it or the dispatcher abandoned it during wind-down, so the
-// consumer can always wait on it without blocking forever.
-type lineJob[R any] struct {
-	line   int
-	record []byte
-	res    R
-	oc     Outcome
-	err    error
-	done   chan struct{}
-}
-
 // runLinesParallel is the shared worker pool behind the RunLinesParallel
-// entry points. A dispatcher goroutine reads records in input order and
-// publishes each job twice: to ordered (the delivery queue, whose capacity
-// of 2×workers bounds the records in flight — when the consumer lags, the
-// dispatcher stalls rather than buffer the stream) and to work (the pool's
-// feed). Workers evaluate jobs concurrently; the caller's goroutine drains
-// ordered, waits for each job to settle, and delivers — so results arrive
-// in input order no matter which worker finished first. A delivery error
-// cancels the pool: the dispatcher stops reading, in-flight evaluations
-// observe the cancellation, and every goroutine is joined before return.
-func runLinesParallel[R any](r io.Reader, workers int,
-	eval func(ctx context.Context, record []byte) (R, Outcome, error),
-	deliver func(job *lineJob[R]) error) error {
-
+// entry points. A dispatcher goroutine cuts the input into chunks and
+// publishes each twice: to work (the pool's feed) and to ordered (the
+// delivery queue, whose capacity of 2×workers bounds the chunks in flight —
+// when the consumer lags, the dispatcher stalls rather than buffer the
+// stream). Workers evaluate chunks concurrently; the caller's goroutine
+// drains ordered, waits for each chunk to settle, and delivers — so results
+// arrive in input order no matter which worker finished first. A delivery
+// error or a panicking visit cancels the pool: the dispatcher stops
+// reading, in-flight evaluations observe the cancellation, and every
+// goroutine is joined before return (or winds down behind the panic).
+func runLinesParallel[M any](r io.Reader, workers int, pool *chunkPool[M], run recordRun[M], visit hitVisit[M]) error {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	work := make(chan *lineJob[R])
-	ordered := make(chan *lineJob[R], 2*workers)
-	readErr := make(chan error, 1)
+	work := make(chan *lineChunk[M])
+	ordered := make(chan *lineChunk[M], 2*workers)
 
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for job := range work {
-				job.res, job.oc, job.err = eval(ctx, job.record)
-				job.done <- struct{}{}
+			for c := range work {
+				c.eval(ctx, run)
+				c.done <- struct{}{}
 			}
 		}()
 	}
 
+	// rerr is set before ordered closes, so the drain below may read it; on
+	// cancellation it stays nil, as the consumer's verdict is what matters.
+	var rerr error
 	go func() {
 		defer close(ordered)
 		defer close(work)
-		err := forEachLine(r, func(line int, record []byte) error {
-			job := &lineJob[R]{
-				line: line,
-				// The workers outlive the reader's buffer reuse; each job
-				// owns its record.
-				record: append([]byte(nil), record...),
-				done:   make(chan struct{}, 1),
+		k := chunker[M]{r: r, pool: pool}
+		for {
+			c, err := k.read()
+			if c == nil {
+				rerr = err
+				return
 			}
 			select {
-			case ordered <- job:
+			case work <- c:
 			case <-ctx.Done():
-				return ctx.Err()
+				return
 			}
 			select {
-			case work <- job:
+			case ordered <- c:
 			case <-ctx.Done():
-				// The job is already queued for delivery but no worker will
-				// take it; settle it here so the consumer never blocks on it.
-				job.err = convertErr(ctx.Err())
-				job.done <- struct{}{}
-				return ctx.Err()
+				return // a worker has c, but no one waits for it
 			}
-			return nil
-		})
-		if errors.Is(err, context.Canceled) {
-			// Our own wind-down, not the reader's failure: the consumer's
-			// verdict is the one that matters.
-			err = nil
 		}
-		readErr <- err
 	}()
 
 	var verr error
-	for job := range ordered {
-		<-job.done
-		if verr != nil {
-			continue // drain so the dispatcher and workers can wind down
+	line := 0
+	for c := range ordered {
+		<-c.done
+		if verr == nil {
+			if verr = c.deliver(line, visit); verr != nil {
+				cancel()
+			}
 		}
-		if derr := deliver(job); derr != nil {
-			verr = derr
-			cancel()
-		}
+		line += c.lines
+		pool.put(c)
 	}
 	wg.Wait()
-	rerr := <-readErr
 	if verr != nil {
 		return verr
 	}
 	return rerr
 }
 
-// offsetsPool and setMatchPool recycle the per-record scratch buffers of the
-// lines families: without them every record allocates a fresh offsets slice
-// (and, for sets, a fresh match slice), which at JSON Lines rates dominates
-// the allocation profile. A buffer's lifecycle is Get at evaluation, travel
-// with the job, Put after delivery; jobs abandoned during wind-down leak
-// their buffer to the garbage collector, which is fine — wind-down is not a
-// steady state. Safe because supervisor.Run is synchronous: no attempt
-// goroutine outlives the evaluation that borrowed the buffer.
-var (
-	offsetsPool  = sync.Pool{New: func() any { return new([]int) }}
-	setMatchPool = sync.Pool{New: func() any { return new([]setMatch) }}
-)
-
-// RunLinesParallel is RunLines evaluated by a pool of workers: records are
-// read in input order, evaluated concurrently, and delivered to visit in
-// input order with the same per-record supervision as RunLines (deadline
-// per record, degradation ladder per record, a bad record skipped without
-// disturbing its neighbours). The number of records in flight is bounded by
-// a small multiple of workers, so an unbounded stream never accumulates in
-// memory even when visit is slow. visit returning a non-nil error stops the
-// scan — remaining in-flight records are abandoned, every worker is joined
-// before return, and the error is returned verbatim. workers ≤ 0 selects
-// GOMAXPROCS. Unlike RunLines, visit runs on the calling goroutine while
-// evaluation happens elsewhere; LineMatch.Record and friends remain valid
-// only during the visit call.
+// RunLinesParallel is RunLines evaluated by a pool of workers: chunks of
+// records are read in input order, evaluated concurrently, and delivered to
+// visit in input order with the same per-record supervision as RunLines
+// (deadline per record, degradation ladder per record, a bad record skipped
+// without disturbing its neighbours). At most 2×workers chunks wait for
+// delivery, each bounded by max(64 KiB, the largest record), so an
+// unbounded stream never accumulates in memory even when visit is slow.
+// visit returning a non-nil error stops the scan — remaining in-flight
+// records are abandoned, every worker is joined before return, and the
+// error is returned verbatim. workers ≤ 0 selects GOMAXPROCS. Unlike
+// RunLines, visit runs on the calling goroutine while evaluation happens
+// elsewhere; LineMatch.Record and friends remain valid only during the
+// visit call.
 func (q *Query) RunLinesParallel(r io.Reader, workers int, visit func(m LineMatch) error) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return runLinesParallel(r, workers,
-		func(ctx context.Context, record []byte) (*[]int, Outcome, error) {
-			sp := offsetsPool.Get().(*[]int)
-			offs, oc, err := q.runSupervisedOffsets(ctx, record, *sp)
-			*sp = offs
-			return sp, oc, err
-		},
-		func(job *lineJob[*[]int]) error {
-			var offs []int
-			if job.res != nil { // nil only for jobs settled during wind-down
-				defer offsetsPool.Put(job.res)
-				offs = *job.res
-			}
-			if job.err == nil && len(offs) == 0 && !job.oc.Degraded() {
-				return nil
-			}
-			m := LineMatch{Line: job.line, Record: job.record, Outcome: &job.oc}
-			if job.err != nil {
-				m.Err = job.err
-			} else {
-				m.Offsets = offs
-			}
-			return visit(m)
-		})
+	return runLinesParallel(r, workers, &offsetChunks, q.runSupervisedOffsets, lineVisitor(visit))
 }
 
 // SetLineMatch describes the outcome of one newline-delimited record of a
@@ -187,63 +126,41 @@ type SetLineMatch struct {
 	Outcome *Outcome
 }
 
-// setLineEval evaluates one record for the set lines family, converting the
-// supervised (query, offset) pairs into per-query offset lists.
-func (s *QuerySet) setLineEval(ctx context.Context, record []byte) ([][]int, Outcome, error) {
-	mp := setMatchPool.Get().(*[]setMatch)
-	matches, oc, err := s.runSupervisedMatches(ctx, record, *mp)
-	var out [][]int
-	if err == nil && len(matches) > 0 {
-		out = make([][]int, s.Len())
-		for _, m := range matches {
-			out[m.query] = append(out[m.query], m.pos)
+// lineVisitor adapts visit to the hits of a set's chunks, regrouping each
+// record's (query, offset) pairs by query into buffers reused from record
+// to record; a query without matches reads nil.
+func (s *QuerySet) lineVisitor(visit func(m SetLineMatch) error) hitVisit[setMatch] {
+	bufs, offsets := make([][]int, s.Len()), make([][]int, s.Len())
+	return func(line int, h *lineHit, matches []setMatch) error {
+		m := SetLineMatch{Line: line, Record: h.record, Err: h.err, Outcome: &h.oc}
+		if h.err == nil && len(matches) > 0 {
+			for _, sm := range matches {
+				bufs[sm.query] = append(bufs[sm.query], sm.pos)
+			}
+			for qi, b := range bufs {
+				offsets[qi], bufs[qi] = nil, b[:0]
+				if len(b) > 0 {
+					offsets[qi] = b[:len(b):len(b)]
+				}
+			}
+			m.Offsets = offsets
 		}
+		return visit(m)
 	}
-	// The (query, offset) pairs have been transcribed; the scratch can go
-	// straight back, whatever the outcome.
-	*mp = matches[:0]
-	setMatchPool.Put(mp)
-	return out, oc, err
 }
 
 // RunLines streams newline-delimited JSON from r through the set's shared
-// classification pass, one record at a time, with the same per-record
-// supervision and visit contract as Query.RunLines: visit sees each record
-// with at least one match, each failed record, and each degraded record.
+// classification pass, one record at a time, with the same chunking,
+// per-record supervision and visit contract as Query.RunLines: visit sees
+// each record with at least one match, each failed record, and each
+// degraded record.
 func (s *QuerySet) RunLines(r io.Reader, visit func(m SetLineMatch) error) error {
-	return forEachLine(r, func(line int, record []byte) error {
-		offs, oc, err := s.setLineEval(context.Background(), record)
-		if err == nil && offs == nil && !oc.Degraded() {
-			return nil
-		}
-		m := SetLineMatch{Line: line, Record: record, Outcome: &oc}
-		if err != nil {
-			m.Err = err
-		} else {
-			m.Offsets = offs
-		}
-		return visit(m)
-	})
+	return runLines(r, &matchChunks, s.runSupervisedMatches, s.lineVisitor(visit))
 }
 
 // RunLinesParallel is QuerySet.RunLines evaluated by a pool of workers,
 // with the same ordering, backpressure, and cancellation contract as
 // Query.RunLinesParallel. workers ≤ 0 selects GOMAXPROCS.
 func (s *QuerySet) RunLinesParallel(r io.Reader, workers int, visit func(m SetLineMatch) error) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return runLinesParallel(r, workers, s.setLineEval,
-		func(job *lineJob[[][]int]) error {
-			if job.err == nil && job.res == nil && !job.oc.Degraded() {
-				return nil
-			}
-			m := SetLineMatch{Line: job.line, Record: job.record, Outcome: &job.oc}
-			if job.err != nil {
-				m.Err = job.err
-			} else {
-				m.Offsets = job.res
-			}
-			return visit(m)
-		})
+	return runLinesParallel(r, workers, &matchChunks, s.runSupervisedMatches, s.lineVisitor(visit))
 }

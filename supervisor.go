@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"rsonpath/internal/dom"
-	"rsonpath/internal/input"
 	"rsonpath/internal/supervisor"
 )
 
@@ -92,13 +91,18 @@ func (c *config) resolveSupervision() supervision {
 	return supervision{timeout: c.timeout, fallback: c.fallback}
 }
 
-// policy translates the supervision config for internal/supervisor.
-func (s supervision) policy() supervisor.Policy {
-	return supervisor.Policy{
+// run runs the ladder under the configured policy, translating the bare
+// context error of an attempt that could not start.
+func (s supervision) run(ctx context.Context, primary supervisor.Attempt, fallback *supervisor.Attempt) (Outcome, error) {
+	so, err := supervisor.Run(ctx, supervisor.Policy{
 		Timeout:     s.timeout,
 		FallbackOff: s.fallback == FallbackOff,
 		Degradable:  degradable,
+	}, primary, fallback)
+	if err == context.Canceled || err == context.DeadlineExceeded {
+		err = convertErr(err)
 	}
+	return Outcome(so), err
 }
 
 // degradable classifies the errors that trigger the ladder: internal faults
@@ -109,12 +113,27 @@ func degradable(err error) bool {
 	return errors.As(err, &ie)
 }
 
-// runCtx is one in-memory run that observes ctx. Documents larger than one
-// stream window on a streaming engine run through the buffered-input path
-// over a ctxReader, so cancellation and deadlines are honored within one
-// window refill; smaller documents — and EngineDOM, whose parse is atomic —
-// are checked at entry only (the whole run already fits "within one
-// window").
+// windowed reports whether an in-memory run over n bytes, with the given
+// stream window (≤ 0: DefaultStreamWindow), observes its context mid-run.
+// Documents larger than one window run through the buffered-input path over
+// ctxBytes, so cancellation and deadlines are honored within one window
+// refill; smaller documents — and EngineDOM, whose parse is atomic — are
+// checked at entry only (the whole run already fits "within one window").
+func windowed(window, n int) bool {
+	if window <= 0 {
+		window = DefaultStreamWindow
+	}
+	return n > window
+}
+
+// windowed is the Query's windowed: only a streaming engine has a window.
+func (q *Query) windowed(n int) bool {
+	_, ok := q.run.(inputRunner)
+	return ok && windowed(q.window, n)
+}
+
+// runCtx is one in-memory run that observes ctx: at entry, and at every
+// window refill when the run is windowed.
 func (q *Query) runCtx(ctx context.Context, data []byte, emit func(pos int)) error {
 	if err := q.limits.checkDocBytes(len(data)); err != nil {
 		return err
@@ -122,40 +141,23 @@ func (q *Query) runCtx(ctx context.Context, data []byte, emit func(pos int)) err
 	if err := ctx.Err(); err != nil {
 		return convertErr(err)
 	}
-	label := q.kind.String()
-	sr, ok := q.run.(inputRunner)
-	window := q.window
-	if window <= 0 {
-		window = DefaultStreamWindow
+	if ctx.Done() != nil && q.windowed(len(data)) {
+		return q.runWindowed(ctxBytes{ctx, bytes.NewReader(data)}, emit)
 	}
-	if !ok || ctx.Done() == nil || len(data) <= window {
-		return guardRun(label, func() error {
-			return q.run.Run(data, q.limits.limitEmit(emit))
-		})
-	}
-	cr := newCtxReader(ctx, bytes.NewReader(data))
-	defer cr.stop()
-	in := input.NewBuffered(cr, q.window)
-	defer in.Release()
-	if q.limits.maxDocBytes > 0 {
-		in.LimitDocBytes(q.limits.maxDocBytes)
-	}
-	return guardRun(label, func() error {
-		return sr.RunInput(in, q.limits.limitEmit(emit))
+	return guardRun(q.kind.String(), func() error {
+		return q.run.Run(data, q.limits.limitEmit(emit))
 	})
 }
 
 // oracleAttempt builds the fallback attempt for one in-memory document, or
-// nil when the query has no separate oracle (it is already EngineDOM).
-func (q *Query) oracleAttempt(data []byte, buf *[]int) *supervisor.Attempt {
+// nil when the query has no separate oracle (it is already EngineDOM). The
+// attempt appends to *buf after its first base entries.
+func (q *Query) oracleAttempt(data []byte, buf *[]int, base int) *supervisor.Attempt {
 	if q.oracle == nil {
 		return nil
 	}
-	return &supervisor.Attempt{Engine: "dom", Run: func(actx context.Context) error {
-		*buf = (*buf)[:0]
-		if err := actx.Err(); err != nil {
-			return convertErr(err)
-		}
+	return &supervisor.Attempt{Engine: "dom", Atomic: true, Run: func(context.Context) error {
+		*buf = (*buf)[:base]
 		return guardRun("dom", func() error {
 			return q.oracle.Run(data, q.limits.limitEmit(func(pos int) { *buf = append(*buf, pos) }))
 		})
@@ -163,33 +165,37 @@ func (q *Query) oracleAttempt(data []byte, buf *[]int) *supervisor.Attempt {
 }
 
 // runSupervisedOffsets is the shared core of the supervised in-memory entry
-// points: it runs the ladder and returns the settled attempt's offsets
-// (reusing scratch for the buffer).
-func (q *Query) runSupervisedOffsets(ctx context.Context, data []byte, scratch []int) ([]int, Outcome, error) {
-	buf := scratch[:0]
-	primary := supervisor.Attempt{Engine: q.kind.String(), Run: func(actx context.Context) error {
-		buf = buf[:0]
+// points: it runs the ladder and appends the settled attempt's offsets to
+// dst.
+func (q *Query) runSupervisedOffsets(ctx context.Context, data []byte, dst []int) ([]int, Outcome, error) {
+	buf, base := dst, len(dst)
+	primary := supervisor.Attempt{Engine: q.kind.String(), Atomic: !q.windowed(len(data)), Run: func(actx context.Context) error {
+		buf = buf[:base]
 		return q.runCtx(actx, data, func(pos int) { buf = append(buf, pos) })
 	}}
-	so, err := supervisor.Run(ctx, q.sup.policy(), primary, q.oracleAttempt(data, &buf))
-	return buf, Outcome(so), err
+	oc, err := q.sup.run(ctx, primary, q.oracleAttempt(data, &buf, base))
+	return buf, oc, err
 }
 
-// deliverOffsets replays a settled run's matches into the caller's emit,
+// deliver replays a settled run's matches into the caller's emit,
 // containing a panicking callback the same way a direct run would. A run
 // that settled on an internal fault delivers nothing — output from a
 // faulted engine cannot be trusted — while a tripped limit or malformed
 // input delivers the valid prefix, matching the direct entry points.
-func deliverOffsets(engine string, offs []int, emit func(pos int)) error {
-	if len(offs) == 0 {
-		return nil
+func deliver[M any](oc Outcome, err error, matches []M, emit func(M)) (Outcome, error) {
+	if len(matches) == 0 || err != nil && degradable(err) {
+		return oc, err
 	}
-	return guardRun(engine, func() error {
-		for _, pos := range offs {
-			emit(pos)
+	derr := guardRun(oc.Engine, func() error {
+		for _, m := range matches {
+			emit(m)
 		}
 		return nil
 	})
+	if err == nil {
+		err = derr
+	}
+	return oc, err
 }
 
 // RunSupervised is Run under the execution supervisor: the run observes ctx
@@ -202,14 +208,7 @@ func deliverOffsets(engine string, offs []int, emit func(pos int)) error {
 // when the error is non-nil.
 func (q *Query) RunSupervised(ctx context.Context, data []byte, emit func(pos int)) (Outcome, error) {
 	offs, oc, err := q.runSupervisedOffsets(ctx, data, nil)
-	if err != nil && degradable(err) {
-		offs = nil
-	}
-	derr := deliverOffsets(oc.Engine, offs, emit)
-	if err == nil {
-		err = derr
-	}
-	return oc, err
+	return deliver(oc, err, offs, emit)
 }
 
 // closeIfCloser closes r when the source handed us something closable.
@@ -228,16 +227,13 @@ func (q *Query) readAllForOracle(open func() (io.Reader, error)) ([]byte, error)
 	}
 	defer closeIfCloser(r)
 	if q.limits.maxDocBytes > 0 {
-		data, err := io.ReadAll(io.LimitReader(r, int64(q.limits.maxDocBytes)+1))
-		if err != nil {
-			return nil, err
-		}
-		if err := q.limits.checkDocBytes(len(data)); err != nil {
-			return nil, err
-		}
-		return data, nil
+		r = io.LimitReader(r, int64(q.limits.maxDocBytes)+1)
 	}
-	return io.ReadAll(r)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	return data, q.limits.checkDocBytes(len(data))
 }
 
 // RunReaderSupervised is RunReader under the execution supervisor. Because
@@ -250,17 +246,12 @@ func (q *Query) readAllForOracle(open func() (io.Reader, error)) ([]byte, error)
 // ladder runs. Engines that cannot stream return ErrStreamingUnsupported;
 // use RunSupervised with the buffered document instead.
 func (q *Query) RunReaderSupervised(ctx context.Context, open func() (io.Reader, error), emit func(pos int)) (Outcome, error) {
-	label := q.kind.String()
-	sr, ok := q.run.(inputRunner)
-	if !ok {
-		return Outcome{Engine: label}, ErrStreamingUnsupported
+	if _, ok := q.run.(inputRunner); !ok {
+		return Outcome{Engine: q.kind.String()}, ErrStreamingUnsupported
 	}
 	var buf []int
-	primary := supervisor.Attempt{Engine: label, Run: func(actx context.Context) error {
+	primary := supervisor.Attempt{Engine: q.kind.String(), Run: func(actx context.Context) error {
 		buf = buf[:0]
-		if err := actx.Err(); err != nil {
-			return convertErr(err)
-		}
 		r, err := open()
 		if err != nil {
 			return err
@@ -268,41 +259,21 @@ func (q *Query) RunReaderSupervised(ctx context.Context, open func() (io.Reader,
 		defer closeIfCloser(r)
 		cr := newCtxReader(actx, r)
 		defer cr.stop()
-		in := input.NewBuffered(cr, q.window)
-		defer in.Release()
-		if q.limits.maxDocBytes > 0 {
-			in.LimitDocBytes(q.limits.maxDocBytes)
-		}
-		return guardRun(label, func() error {
-			return sr.RunInput(in, q.limits.limitEmit(func(pos int) { buf = append(buf, pos) }))
-		})
+		return q.runWindowed(cr, func(pos int) { buf = append(buf, pos) })
 	}}
 	var fb *supervisor.Attempt
 	if q.oracle != nil {
-		fb = &supervisor.Attempt{Engine: "dom", Run: func(actx context.Context) error {
+		fb = &supervisor.Attempt{Engine: "dom", Atomic: true, Run: func(ctx context.Context) error {
 			buf = buf[:0]
-			if err := actx.Err(); err != nil {
-				return convertErr(err)
-			}
 			data, err := q.readAllForOracle(open)
 			if err != nil {
 				return err
 			}
-			return guardRun("dom", func() error {
-				return q.oracle.Run(data, q.limits.limitEmit(func(pos int) { buf = append(buf, pos) }))
-			})
+			return q.oracleAttempt(data, &buf, 0).Run(ctx)
 		}}
 	}
-	so, err := supervisor.Run(ctx, q.sup.policy(), primary, fb)
-	oc := Outcome(so)
-	if err != nil && degradable(err) {
-		buf = nil
-	}
-	derr := deliverOffsets(oc.Engine, buf, emit)
-	if err == nil {
-		err = derr
-	}
-	return oc, err
+	oc, err := q.sup.run(ctx, primary, fb)
+	return deliver(oc, err, buf, emit)
 }
 
 // setMatch is one (query, offset) pair buffered by a supervised set run.
@@ -318,24 +289,11 @@ func (s *QuerySet) runCtx(ctx context.Context, data []byte, emit func(query, pos
 	if err := ctx.Err(); err != nil {
 		return convertErr(err)
 	}
-	window := s.window
-	if window <= 0 {
-		window = DefaultStreamWindow
-	}
-	if ctx.Done() == nil || len(data) <= window {
-		return guardRun("queryset", func() error {
-			return s.set.Run(data, s.limits.limitEmit2(emit))
-		})
-	}
-	cr := newCtxReader(ctx, bytes.NewReader(data))
-	defer cr.stop()
-	in := input.NewBuffered(cr, s.window)
-	defer in.Release()
-	if s.limits.maxDocBytes > 0 {
-		in.LimitDocBytes(s.limits.maxDocBytes)
+	if ctx.Done() != nil && windowed(s.window, len(data)) {
+		return s.runWindowed(ctxBytes{ctx, bytes.NewReader(data)}, emit)
 	}
 	return guardRun("queryset", func() error {
-		return s.set.RunInput(in, s.limits.limitEmit2(emit))
+		return s.set.Run(data, s.limits.limitEmit2(emit))
 	})
 }
 
@@ -372,35 +330,19 @@ func (s *QuerySet) runOracle(data []byte, buf *[]setMatch) error {
 }
 
 // runSupervisedMatches is the shared core of the supervised set entry
-// points, returning the settled attempt's (query, offset) pairs.
-func (s *QuerySet) runSupervisedMatches(ctx context.Context, data []byte, scratch []setMatch) ([]setMatch, Outcome, error) {
-	buf := scratch[:0]
-	primary := supervisor.Attempt{Engine: "queryset", Run: func(actx context.Context) error {
-		buf = buf[:0]
+// points, appending the settled attempt's (query, offset) pairs to dst.
+func (s *QuerySet) runSupervisedMatches(ctx context.Context, data []byte, dst []setMatch) ([]setMatch, Outcome, error) {
+	buf, base := dst, len(dst)
+	primary := supervisor.Attempt{Engine: "queryset", Atomic: !windowed(s.window, len(data)), Run: func(actx context.Context) error {
+		buf = buf[:base]
 		return s.runCtx(actx, data, func(query, pos int) { buf = append(buf, setMatch{query: query, pos: pos}) })
 	}}
-	fb := &supervisor.Attempt{Engine: "dom", Run: func(actx context.Context) error {
-		buf = buf[:0]
-		if err := actx.Err(); err != nil {
-			return convertErr(err)
-		}
+	fb := &supervisor.Attempt{Engine: "dom", Atomic: true, Run: func(context.Context) error {
+		buf = buf[:base]
 		return s.runOracle(data, &buf)
 	}}
-	so, err := supervisor.Run(ctx, s.sup.policy(), primary, fb)
-	return buf, Outcome(so), err
-}
-
-// deliverMatches is deliverOffsets for the two-argument set callback.
-func deliverMatches(engine string, matches []setMatch, emit func(query, pos int)) error {
-	if len(matches) == 0 {
-		return nil
-	}
-	return guardRun(engine, func() error {
-		for _, m := range matches {
-			emit(m.query, m.pos)
-		}
-		return nil
-	})
+	oc, err := s.sup.run(ctx, primary, fb)
+	return buf, oc, err
 }
 
 // RunSupervised is QuerySet.Run under the execution supervisor: the shared
@@ -411,12 +353,5 @@ func deliverMatches(engine string, matches []setMatch, emit func(query, pos int)
 // path produced them.
 func (s *QuerySet) RunSupervised(ctx context.Context, data []byte, emit func(query, pos int)) (Outcome, error) {
 	matches, oc, err := s.runSupervisedMatches(ctx, data, nil)
-	if err != nil && degradable(err) {
-		matches = nil
-	}
-	derr := deliverMatches(oc.Engine, matches, emit)
-	if err == nil {
-		err = derr
-	}
-	return oc, err
+	return deliver(oc, err, matches, func(m setMatch) { emit(m.query, m.pos) })
 }
