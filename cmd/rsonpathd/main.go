@@ -27,15 +27,16 @@
 // With -shards N > 1 the daemon becomes a crash-isolated cluster
 // (DESIGN.md §15): it re-execs itself as N shared-nothing worker processes
 // on per-worker unix sockets and serves as their supervisor and front
-// router. Workers that crash are restarted under exponential backoff;
-// persistent crash-loopers are quarantined and the service degrades to the
-// surviving shards.
+// router. Workers that crash are restarted under exponential backoff
+// (100ms doubling to 5s); a worker that crashes 5 times in a row within 1s
+// of starting is quarantined and the service degrades to the surviving
+// shards.
 //
 // Signals: SIGINT/SIGTERM drain gracefully — the listener closes
 // immediately, in-flight requests finish under the -drain deadline, then
 // remaining connections are closed forcibly (in cluster mode the workers
 // are then drained one at a time, never two down at once). SIGHUP flushes
-// the caches and resets brownout/breaker state without restarting — fanned
+// the caches and closes the fallback breaker without restarting — fanned
 // out to every worker in cluster mode, where it also revives quarantined
 // shards.
 package main
@@ -81,7 +82,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		maxConc    = fs.Int("max-concurrency", 0, "admission gate weight capacity (0 = 8 x GOMAXPROCS)")
 		admitQueue = fs.Int("admission-queue", 0, "admission wait-queue depth (0 = 2 x capacity, negative = no queue)")
 		maxBytes2  = fs.Int64("max-inflight-bytes", 0, "summed payload bytes admitted concurrently (0 = default budget, negative = unlimited)")
-		brownout   = fs.Bool("brownout", true, "step down the degradation ladder under sustained queue pressure")
 		breaker    = fs.Bool("breaker", true, "circuit-break the DOM-oracle fallback when internal faults flood")
 		docBytes   = fs.Int64("doc-cache-bytes", 0, "resident-byte bound on the indexed-document cache (0 = entry-count bound only)")
 		bodyRead   = fs.Duration("body-read-timeout", 30*time.Second, "deadline for reading an admitted request body (0 = none)")
@@ -91,13 +91,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		version    = fs.String("version", "dev", "version string reported by /version")
 
 		// Cluster mode (parent) flags.
-		shards        = fs.Int("shards", 1, "worker processes; >1 runs the crash-isolated cluster")
-		socketDir     = fs.String("socket-dir", "", "directory for per-worker unix sockets (empty = private temp dir)")
-		restartWait   = fs.Duration("restart-backoff", 100*time.Millisecond, "delay before restarting a crashed worker, doubling per crash-loop crash")
-		restartMax    = fs.Duration("max-restart-backoff", 5*time.Second, "restart backoff ceiling")
-		crashLoopN    = fs.Int("crash-loop-threshold", 5, "consecutive fast crashes before a worker is quarantined")
-		crashLoopWin  = fs.Duration("crash-loop-window", time.Second, "uptime under which a crash counts toward the crash loop")
-		affinitySlack = fs.Int64("affinity-slack", 4, "in-flight surplus the document-affinity worker may carry and still win the route")
+		shards    = fs.Int("shards", 1, "worker processes; >1 runs the crash-isolated cluster")
+		socketDir = fs.String("socket-dir", "", "directory for per-worker unix sockets (empty = private temp dir)")
 
 		// Worker mode flags, set by the parent's re-exec; not for operators.
 		workerSocket = fs.String("worker-socket", "", "serve one cluster shard on this unix socket (internal)")
@@ -130,10 +125,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if *shards > 1 {
 		return runCluster(ctx, fs, clusterOpts{
 			addr: *addr, shards: *shards, socketDir: *socketDir,
-			restartBackoff: *restartWait, maxRestartBackoff: *restartMax,
-			crashLoopThreshold: *crashLoopN, crashLoopWindow: *crashLoopWin,
-			affinitySlack: *affinitySlack, maxBody: *maxBody,
-			drain: *drain, version: *version,
+			maxBody: *maxBody, drain: *drain, version: *version,
 		}, stdout, stderr)
 	}
 
@@ -158,7 +150,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		MaxConcurrency:   *maxConc,
 		AdmissionQueue:   *admitQueue,
 		MaxInflightBytes: *maxBytes2,
-		Brownout:         *brownout,
 		Breaker:          *breaker,
 		DocCacheBytes:    *docBytes,
 		BodyReadTimeout:  *bodyRead,
@@ -171,7 +162,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "rsonpathd: listening on %s\n", srv.Addr())
 
-	// SIGHUP: flush caches, reset brownout/breaker state, keep serving.
+	// SIGHUP: flush caches, close the breaker, keep serving.
 	hup := make(chan os.Signal, 1)
 	signal.Notify(hup, syscall.SIGHUP)
 	defer signal.Stop(hup)
@@ -216,26 +207,18 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 // clusterOpts carries the parsed cluster-parent flags.
 type clusterOpts struct {
-	addr               string
-	shards             int
-	socketDir          string
-	restartBackoff     time.Duration
-	maxRestartBackoff  time.Duration
-	crashLoopThreshold int
-	crashLoopWindow    time.Duration
-	affinitySlack      int64
-	maxBody            int64
-	drain              time.Duration
-	version            string
+	addr      string
+	shards    int
+	socketDir string
+	maxBody   int64
+	drain     time.Duration
+	version   string
 }
 
 // clusterOnlyFlags are the flags that steer the parent and must not be
 // forwarded to workers (a forwarded -shards would fork-bomb).
 var clusterOnlyFlags = map[string]bool{
 	"shards": true, "addr": true, "socket-dir": true,
-	"restart-backoff": true, "max-restart-backoff": true,
-	"crash-loop-threshold": true, "crash-loop-window": true,
-	"affinity-slack": true,
 }
 
 // workerArgs rebuilds the command line for a worker re-exec: every server
@@ -276,15 +259,10 @@ func runCluster(ctx context.Context, fs *flag.FlagSet, o clusterOpts, stdout, st
 			cmd.Stderr = stderr
 			return cmd
 		},
-		RestartBackoff:     o.restartBackoff,
-		MaxRestartBackoff:  o.maxRestartBackoff,
-		CrashLoopWindow:    o.crashLoopWindow,
-		CrashLoopThreshold: o.crashLoopThreshold,
-		DrainTimeout:       o.drain,
-		AffinitySlack:      o.affinitySlack,
-		MaxBodyBytes:       o.maxBody,
-		Version:            o.version,
-		Log:                stderr,
+		DrainTimeout: o.drain,
+		MaxBodyBytes: o.maxBody,
+		Version:      o.version,
+		Log:          stderr,
 	})
 	if err != nil {
 		fmt.Fprintln(stderr, "rsonpathd:", err)

@@ -186,66 +186,6 @@ func TestGateConcurrentStress(t *testing.T) {
 	}
 }
 
-// TestBrownoutLadder drives the controller deterministically: sustained
-// pressure steps down the ladder one level at a time in order, quiet steps
-// back up, and the dwell + threshold gap prevents flapping.
-func TestBrownoutLadder(t *testing.T) {
-	b := NewBrownout(BrownoutConfig{Alpha: 0.25, StepUp: 0.5, StepDown: 0.1, DwellSamples: 8})
-
-	var seen []int
-	level := 0
-	for i := 0; i < 200 && level < BrownoutShedBulk; i++ {
-		next := b.Observe(1.0)
-		if next != level {
-			seen = append(seen, next)
-			level = next
-		}
-	}
-	if want := []int{1, 2, 3}; len(seen) != 3 || seen[0] != want[0] || seen[1] != want[1] || seen[2] != want[2] {
-		t.Fatalf("step-down order = %v, want [1 2 3]", seen)
-	}
-
-	// Mid-band pressure (between StepDown and StepUp) must hold the level:
-	// that band is the hysteresis.
-	for i := 0; i < 100; i++ {
-		if got := b.Observe(0.3); got != BrownoutShedBulk {
-			t.Fatalf("observation %d at mid pressure moved level to %d", i, got)
-		}
-	}
-
-	seen = nil
-	for i := 0; i < 400 && level > 0; i++ {
-		next := b.Observe(0)
-		if next != level {
-			seen = append(seen, next)
-			level = next
-		}
-	}
-	if want := []int{2, 1, 0}; len(seen) != 3 || seen[0] != want[0] || seen[1] != want[1] || seen[2] != want[2] {
-		t.Fatalf("step-up order = %v, want [2 1 0]", seen)
-	}
-}
-
-// TestBrownoutDwell pins that a single burst cannot ride the ladder more
-// than one level before the dwell elapses again.
-func TestBrownoutDwell(t *testing.T) {
-	b := NewBrownout(BrownoutConfig{Alpha: 1, StepUp: 0.5, StepDown: 0.1, DwellSamples: 10})
-	for i := 0; i < 10; i++ {
-		b.Observe(1.0)
-	}
-	if b.Level() != 1 {
-		t.Fatalf("level after first dwell = %d, want 1", b.Level())
-	}
-	for i := 0; i < 9; i++ {
-		if got := b.Observe(1.0); got != 1 {
-			t.Fatalf("level stepped to %d before dwell elapsed", got)
-		}
-	}
-	if got := b.Observe(1.0); got != 2 {
-		t.Fatalf("level after second dwell = %d, want 2", got)
-	}
-}
-
 // TestBreakerStates drives the full closed → open → half-open → closed
 // cycle with an injected clock.
 func TestBreakerStates(t *testing.T) {

@@ -1,15 +1,16 @@
 // Package admission is the daemon's overload-control subsystem: a weighted
 // concurrency gate with a bounded, deadline-aware wait queue and a global
-// in-flight bytes budget (Gate), a brownout controller that steps down a
-// degradation ladder under sustained pressure (Brownout), and a circuit
-// breaker for the supervisor's expensive fallback path (Breaker). See
-// DESIGN.md §14 for how rsonpathd threads these together.
+// in-flight bytes budget (Gate), and a circuit breaker for the supervisor's
+// expensive fallback path (Breaker). The gate is the daemon's only load
+// shedder: an arrival is admitted, parked briefly in FIFO order, or
+// rejected with a typed error. See DESIGN.md §14 for how rsonpathd threads
+// the two together.
 //
 // The package is engine-agnostic on purpose: nothing here knows about JSON,
-// HTTP, or queries. A request is a (weight, bytes) pair, pressure is a
-// number in [0, 1], and a fallback event is a boolean. The server layer
-// translates its domain into those terms, which keeps every state machine
-// here unit-testable without a socket.
+// HTTP, or queries. A request is a (weight, bytes) pair and a fallback
+// event is a boolean. The server layer translates its domain into those
+// terms, which keeps both state machines here unit-testable without a
+// socket.
 package admission
 
 import (
@@ -157,31 +158,6 @@ func (g *Gate) Acquire(ctx context.Context, weight, bytes int64) (release func()
 		g.mu.Unlock()
 		return nil, ErrDeadline
 	}
-}
-
-// TryAcquire is Acquire that never queues: it admits immediately or reports
-// the rejection. Used for true-ups after an under-estimated reservation.
-func (g *Gate) TryAcquire(weight, bytes int64) (release func(), err error) {
-	if weight < 0 {
-		weight = 0
-	}
-	if bytes < 0 {
-		bytes = 0
-	}
-	if g.cfg.BytesBudget > 0 && bytes > g.cfg.BytesBudget {
-		return nil, ErrTooLarge
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.cfg.BytesBudget > 0 && g.bytes+bytes > g.cfg.BytesBudget {
-		return nil, ErrBytesBudget
-	}
-	if g.used+weight > g.cfg.Capacity && weight > 0 {
-		return nil, ErrQueueFull
-	}
-	g.used += weight
-	g.bytes += bytes
-	return g.releaser(weight, bytes), nil
 }
 
 // releaser returns the idempotent release closure for an admitted grant.

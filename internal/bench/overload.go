@@ -32,10 +32,9 @@ import (
 // thousands of per-record evaluations for the server — exactly the
 // asymmetry real overload has.
 //
-// Brownout is off for this daemon: the ladder's duty-cycling of bulk work
-// is the right behavior live but makes the goodput measurement oscillate;
-// here the deterministic gate+queue shedding is what is under test, and
-// the ladder has its own deterministic coverage in the server tests.
+// The daemon under test runs rsonpathd's own overload policy: the
+// admission gate, its bounded deadline-aware queue and its bytes budget,
+// with every shed decided by the gate.
 
 // overloadCapacity and overloadQueue size the daemon under test: one slot
 // and a short queue, so shedding starts the moment a handful of bulk

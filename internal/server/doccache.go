@@ -70,13 +70,11 @@ func (c *docCache) enabled() bool { return c != nil && c.capacity > 0 }
 // lookup returns the indexed form of doc when the cache holds one, counting
 // the sighting and building the index at the promotion threshold otherwise.
 // built reports that this call performed the build (the caller's metrics
-// distinguish a hit from the build that enables future hits). promote=false
-// (the brownout ladder's first rung) still serves existing hits and counts
-// sightings but never spends a classification sweep building a new index.
-// The build copies doc, so the caller's buffer stays request-scoped; a
-// document the screens reject (malformed) is remembered as never-promotable
-// rather than re-screened each time.
-func (c *docCache) lookup(doc []byte, promote bool) (idx *rsonpath.IndexedDocument, built bool) {
+// distinguish a hit from the build that enables future hits). The build
+// copies doc, so the caller's buffer stays request-scoped; a document the
+// screens reject (malformed) is remembered as never-promotable rather than
+// re-screened each time.
+func (c *docCache) lookup(doc []byte) (idx *rsonpath.IndexedDocument, built bool) {
 	if !c.enabled() {
 		return nil, false
 	}
@@ -87,9 +85,7 @@ func (c *docCache) lookup(doc []byte, promote bool) (idx *rsonpath.IndexedDocume
 	if !ok {
 		e := &docEntry{key: key, seen: 1}
 		c.entries[key] = c.lru.PushFront(e)
-		if promote {
-			c.maybePromote(e, doc)
-		}
+		c.maybePromote(e, doc)
 		c.evictOver()
 		return e.idx, e.idx != nil
 	}
@@ -99,9 +95,7 @@ func (c *docCache) lookup(doc []byte, promote bool) (idx *rsonpath.IndexedDocume
 		return e.idx, false
 	}
 	e.seen++
-	if promote {
-		c.maybePromote(e, doc)
-	}
+	c.maybePromote(e, doc)
 	c.evictOver()
 	return e.idx, e.idx != nil
 }

@@ -10,8 +10,8 @@ import (
 // promote sights doc twice — the planner's promotion point — and returns
 // what the second lookup served.
 func promote(c *docCache, doc []byte) (*rsonpath.IndexedDocument, bool) {
-	c.lookup(doc, true)
-	return c.lookup(doc, true)
+	c.lookup(doc)
+	return c.lookup(doc)
 }
 
 // TestDocCachePromotion verifies the planner's sighting threshold: no index
@@ -19,14 +19,14 @@ func promote(c *docCache, doc []byte) (*rsonpath.IndexedDocument, bool) {
 func TestDocCachePromotion(t *testing.T) {
 	c := newDocCache(4, 0)
 	doc := []byte(`{"a": 1}`)
-	if idx, built := c.lookup(doc, true); idx != nil || built {
+	if idx, built := c.lookup(doc); idx != nil || built {
 		t.Fatalf("first sighting: premature index (built=%v)", built)
 	}
-	idx, built := c.lookup(doc, true)
+	idx, built := c.lookup(doc)
 	if idx == nil || !built {
 		t.Fatalf("second sighting: idx=%v built=%v, want build", idx, built)
 	}
-	idx2, built := c.lookup(doc, true)
+	idx2, built := c.lookup(doc)
 	if idx2 != idx || built {
 		t.Fatalf("third sighting: want hit of the same index (built=%v)", built)
 	}
@@ -94,29 +94,8 @@ func TestDocCacheByteBound(t *testing.T) {
 	if _, built := promote(c, doc(0)); !built {
 		t.Fatal("byte-evicted document served without a rebuild")
 	}
-	if _, built := c.lookup(doc(2), true); built {
+	if _, built := c.lookup(doc(2)); built {
 		t.Fatal("newest document was evicted by the byte bound prematurely")
-	}
-}
-
-// TestDocCacheNoPromote verifies the brownout hook: promote=false serves
-// existing indexes but never spends a build, and sightings still count so
-// promotion resumes once the pressure clears.
-func TestDocCacheNoPromote(t *testing.T) {
-	c := newDocCache(4, 0)
-	doc := []byte(`{"a": 1}`)
-	for i := 0; i < 4; i++ {
-		if idx, built := c.lookup(doc, false); idx != nil || built {
-			t.Fatalf("lookup %d under no-promote built an index", i)
-		}
-	}
-	// Pressure cleared: the accumulated sightings promote immediately.
-	if idx, built := c.lookup(doc, true); idx == nil || !built {
-		t.Fatal("promotion did not resume after no-promote lifted")
-	}
-	// And an existing index keeps serving even under no-promote.
-	if idx, built := c.lookup(doc, false); idx == nil || built {
-		t.Fatal("no-promote refused an existing index")
 	}
 }
 
@@ -127,7 +106,7 @@ func TestDocCacheMalformedNotRetried(t *testing.T) {
 	c := newDocCache(4, 0)
 	bad := []byte(`{"a": [1, 2}`) // unbalanced: ] missing
 	for i := 0; i < 3; i++ {
-		if idx, built := c.lookup(bad, true); idx != nil || built {
+		if idx, built := c.lookup(bad); idx != nil || built {
 			t.Fatalf("lookup %d: malformed document produced an index", i)
 		}
 	}
@@ -140,7 +119,7 @@ func TestDocCacheMalformedNotRetried(t *testing.T) {
 func TestDocCacheDisabled(t *testing.T) {
 	c := newDocCache(0, 0)
 	for i := 0; i < 3; i++ {
-		if idx, built := c.lookup([]byte(`{"a": 1}`), true); idx != nil || built {
+		if idx, built := c.lookup([]byte(`{"a": 1}`)); idx != nil || built {
 			t.Fatalf("disabled cache built an index")
 		}
 	}
@@ -158,7 +137,7 @@ func TestDocCacheConcurrent(t *testing.T) {
 			defer func() { done <- struct{}{} }()
 			for i := 0; i < 50; i++ {
 				doc := []byte(fmt.Sprintf(`{"k": %d}`, i%4))
-				c.lookup(doc, true)
+				c.lookup(doc)
 			}
 		}(g)
 	}

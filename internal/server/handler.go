@@ -126,10 +126,9 @@ func requestWeight(bulk bool, bodyBytes int64) int64 {
 //     parallel lines worker pool.
 //
 // Every form passes admission before its body is read: the declared size is
-// checked against the body cap (413), the brownout ladder may shed bulk
-// work (429), and the gate either admits, queues briefly, or sheds (429 +
-// Retry-After). The gate holds the request's slot and byte reservation
-// until the response is written.
+// checked against the body cap (413), and the gate either admits, queues
+// briefly, or sheds (429 + Retry-After). The gate holds the request's slot
+// and byte reservation until the response is written.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.met.inflight.Add(1)
 	start := time.Now()
@@ -158,30 +157,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		resBytes = s.cfg.MaxBodyBytes
 	}
 
-	// Brownout's deepest rung sheds NDJSON bulk before touching point
-	// queries: the heaviest work class goes first, and the shed observes
-	// queue occupancy (not 1.0) so draining pressure steps the ladder back
-	// up.
-	level := s.brownoutLevel()
-	if bulk && level >= admission.BrownoutShedBulk {
-		s.met.admShedBrownout.Add(1)
-		s.observePressure(s.occupancy())
-		s.writeError(w, overloadError("overloaded: bulk NDJSON requests are temporarily shed", 1+level))
-		return
-	}
-
 	// The gate: admitted, briefly queued, or shed — never blocked
 	// unboundedly. Acquire waits on the *connection* context, not the
 	// watchdog deadline: a configured 1 ns query timeout must surface as
 	// 408 from the run, not as a 429 at the door.
 	release, err := s.gate.Acquire(r.Context(), requestWeight(bulk, resBytes), resBytes)
 	if err != nil {
-		s.shed(w, err, level)
+		s.shed(w, err)
 		return
 	}
 	defer release()
 	s.met.admAdmitted.Add(1)
-	s.observePressure(s.occupancy())
 
 	// With a slot held, a slow-loris upload would pin it; bound the body
 	// read. SetReadDeadline is best-effort — transports without deadline
@@ -250,7 +236,7 @@ func streamParam(r *http.Request) bool {
 // shed maps a gate rejection to its response: an absolutely oversized
 // request is the client's fault (413, no point retrying); everything else
 // is load (429 + Retry-After).
-func (s *Server) shed(w http.ResponseWriter, err error, level int) {
+func (s *Server) shed(w http.ResponseWriter, err error) {
 	if errors.Is(err, admission.ErrTooLarge) {
 		s.met.admShedTooBig.Add(1)
 		s.writeError(w, &protocolError{status: http.StatusRequestEntityTooLarge, kind: "limit",
@@ -265,20 +251,13 @@ func (s *Server) shed(w http.ResponseWriter, err error, level int) {
 	case errors.Is(err, admission.ErrDeadline):
 		s.met.admShedDeadline.Add(1)
 	}
-	s.observePressure(1)
-	s.writeError(w, overloadError(err.Error(), 1+level))
+	s.writeError(w, overloadError(err.Error()))
 }
 
 // requestContext applies the configured per-request deadline on top of the
-// connection's context (which already cancels on client disconnect). Under
-// brownout level BrownoutTightDeadlines the deadline is halved, so
-// stragglers hand their admission slots back sooner.
+// connection's context (which already cancels on client disconnect).
 func (s *Server) requestContext(r *http.Request) (context.Context, context.CancelFunc) {
-	t := s.cfg.Timeout
-	if t > 0 && s.brownoutLevel() >= admission.BrownoutTightDeadlines {
-		t /= 2
-	}
-	if t > 0 {
+	if t := s.cfg.Timeout; t > 0 {
 		return context.WithTimeout(r.Context(), t)
 	}
 	return r.Context(), func() {}
@@ -322,11 +301,8 @@ func (s *Server) serveSingle(w http.ResponseWriter, r *http.Request, req *queryR
 	docState := "off"
 	var idx *rsonpath.IndexedDocument
 	if s.docs.enabled() {
-		// Brownout's first rung stops *new* index builds — pure-overhead
-		// work under pressure — while existing hits keep serving.
-		promote := s.brownoutLevel() < admission.BrownoutNoPromote
 		var built bool
-		idx, built = s.docs.lookup(doc, promote)
+		idx, built = s.docs.lookup(doc)
 		switch {
 		case built:
 			docState = "built"
@@ -599,10 +575,9 @@ func parseMode(mode, def string) (string, bool) {
 // protocolError is a 4xx verdict produced by the server itself (envelope,
 // query text, transport, or admission problems) rather than by a run.
 type protocolError struct {
-	status     int
-	kind       string
-	message    string
-	retryAfter int // seconds; > 0 emits a Retry-After header
+	status  int
+	kind    string
+	message string
 }
 
 func (e *protocolError) Error() string { return e.message }
@@ -611,13 +586,14 @@ func badRequest(msg string) error {
 	return &protocolError{status: http.StatusBadRequest, kind: "bad_request", message: msg}
 }
 
-// overloadError is a load-shedding verdict: try again in retryAfter
-// seconds. The hint grows with the brownout level — the deeper the ladder,
-// the longer the backoff worth suggesting.
-func overloadError(msg string, retryAfter int) error {
-	return &protocolError{status: http.StatusTooManyRequests, kind: "overload",
-		message: msg, retryAfter: retryAfter}
+// overloadError is a load-shedding verdict; writeError adds the
+// Retry-After hint.
+func overloadError(msg string) error {
+	return &protocolError{status: http.StatusTooManyRequests, kind: "overload", message: msg}
 }
+
+// retryAfter is the Retry-After value, in seconds, every 429 carries.
+const retryAfter = "1"
 
 // badQuery classifies a compile failure: always the client's query, so 400.
 func badQuery(err error) error {
@@ -702,9 +678,9 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 	status := s.countError(d.Kind)
 	if pe := (*protocolError)(nil); errors.As(err, &pe) {
 		status = pe.status
-		if pe.retryAfter > 0 {
-			w.Header().Set("Retry-After", strconv.Itoa(pe.retryAfter))
-		}
+	}
+	if status == http.StatusTooManyRequests {
+		w.Header().Set("Retry-After", retryAfter)
 	}
 	writeJSON(w, status, &errorBody{Error: d})
 }

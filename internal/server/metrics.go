@@ -41,7 +41,6 @@ type metrics struct {
 	admShedDeadline atomic.Int64 // caller deadline expired while queued
 	admShedBytes    atomic.Int64 // in-flight bytes budget exhausted
 	admShedTooBig   atomic.Int64 // larger than the whole bytes budget (413)
-	admShedBrownout atomic.Int64 // brownout ladder shed the request class
 	errOverload     atomic.Int64 // 429s written
 
 	// planRuns counts served runs per execution-plan strategy, indexed like
@@ -69,8 +68,7 @@ func (m *metrics) observe(d time.Duration) {
 
 // render writes the exposition text. The query-cache and doc-cache gauges
 // are passed in by the server, which owns those structures, as are the
-// admission-subsystem gauges (gate occupancy, brownout level, breaker
-// state).
+// admission-subsystem gauges (gate occupancy, breaker state).
 func (m *metrics) render(w io.Writer, cache cacheGauges, docs docGauges, adm admGauges) {
 	p := func(name string, kind string, v int64) {
 		fmt.Fprintf(w, "# TYPE %s %s\n%s %d\n", name, kind, name, v)
@@ -102,14 +100,12 @@ func (m *metrics) render(w io.Writer, cache cacheGauges, docs docGauges, adm adm
 	p("rsonpathd_admission_shed_deadline_total", "counter", m.admShedDeadline.Load())
 	p("rsonpathd_admission_shed_bytes_total", "counter", m.admShedBytes.Load())
 	p("rsonpathd_admission_shed_too_large_total", "counter", m.admShedTooBig.Load())
-	p("rsonpathd_admission_shed_brownout_total", "counter", m.admShedBrownout.Load())
 	p("rsonpathd_admission_queue_depth", "gauge", int64(adm.queueDepth))
 	p("rsonpathd_admission_queue_capacity", "gauge", int64(adm.queueCap))
 	p("rsonpathd_admission_inflight_weight", "gauge", adm.usedWeight)
 	p("rsonpathd_admission_weight_capacity", "gauge", adm.capWeight)
 	p("rsonpathd_admission_inflight_bytes", "gauge", adm.usedBytes)
 	p("rsonpathd_admission_bytes_budget", "gauge", adm.bytesBudget)
-	p("rsonpathd_brownout_level", "gauge", int64(adm.brownoutLevel))
 	p("rsonpathd_breaker_state", "gauge", int64(adm.breakerState))
 	p("rsonpathd_breaker_opens_total", "counter", adm.breakerOpens)
 	p("rsonpathd_goroutines", "gauge", int64(runtime.NumGoroutine()))
@@ -144,7 +140,6 @@ type admGauges struct {
 	queueDepth, queueCap   int
 	usedWeight, capWeight  int64
 	usedBytes, bytesBudget int64
-	brownoutLevel          int
 	breakerState           int // 0 closed, 1 half-open, 2 open
 	breakerOpens           int64
 }

@@ -244,94 +244,77 @@ func TestServeNDJSONTooLarge(t *testing.T) {
 	}
 }
 
-// TestServeBrownoutEffects drives the brownout ladder deterministically
-// (dwell far above anything the test's own requests contribute) and asserts
-// each rung's serving effect: level >= 1 stops doc-index promotion, level 3
-// sheds NDJSON bulk with 429 while point queries still answer, /healthz
-// reports the overload, and recovery restores both.
-func TestServeBrownoutEffects(t *testing.T) {
-	s, url := startServer(t, Config{Brownout: true, DocCacheSize: 8})
-	ladder := admission.NewBrownout(admission.BrownoutConfig{
-		Alpha: 1, StepUp: 0.5, StepDown: 0.1, DwellSamples: 1000})
-	s.brown = ladder
-	drive := func(pressure float64, levels int) {
-		for i := 0; i < levels*1000; i++ {
-			ladder.Observe(pressure)
+// TestServeHealthzQueueFull pins the overload report the gate drives: with
+// the one slot held and the one queue place taken, /healthz answers 200
+// "overloaded", the next arrival is shed with 429 and Retry-After: 1, and
+// the report returns to "ok" once the held work drains.
+func TestServeHealthzQueueFull(t *testing.T) {
+	s, url := startServer(t, Config{MaxConcurrency: 1, AdmissionQueue: 1})
+	hold := make(chan struct{})
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(hold) }) }
+	t.Cleanup(unblock) // runs before the server's drain, which would wait on hold
+	s.compileQuery = func(string) (queryRunner, error) {
+		<-hold // compile runs after admission, so this holds the slot
+		return &plainRunner{engine: "rsonpath", offsets: []int{6}}, nil
+	}
+
+	waitStatus := func(want string) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			resp, err := http.Get(url + "/healthz")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rep healthReport
+			err = json.NewDecoder(resp.Body).Decode(&rep)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode == http.StatusOK && rep.Status == want {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("healthz never answered 200 %q: status %d %+v", want, resp.StatusCode, rep)
+			}
+			time.Sleep(10 * time.Millisecond)
 		}
 	}
-	doc := json.RawMessage(`{"a": 41}`)
-
-	drive(1, 3)
-	if got := ladder.Level(); got != admission.BrownoutShedBulk {
-		t.Fatalf("level = %d, want %d", got, admission.BrownoutShedBulk)
-	}
-
-	// NDJSON bulk is shed with 429 + Retry-After...
-	resp, err := http.Post(url+"/v1/query?query=$.a", "application/x-ndjson",
-		strings.NewReader(`{"a": 1}`+"\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
-		t.Fatalf("bulk under brownout: status %d Retry-After %q, want 429 with a hint",
-			resp.StatusCode, resp.Header.Get("Retry-After"))
-	}
-	if got := metricValue(t, url, "rsonpathd_admission_shed_brownout_total"); got != 1 {
-		t.Errorf("shed_brownout_total = %d, want 1", got)
-	}
-
-	// ...while point queries answer, with index promotion suspended: the
-	// same document sighted repeatedly stays "cold".
-	for i := 0; i < 3; i++ {
-		status, qr, _, _ := postQuery(t, url, queryRequest{Query: "$.a", Document: doc, Mode: "count"})
-		if status != http.StatusOK {
-			t.Fatalf("point query under brownout: status %d", status)
+	const body = `{"query": "$.a", "document": {"a": 7}, "mode": "count"}`
+	statuses := make(chan int, 2)
+	post := func() {
+		resp, err := http.Post(url+"/v1/query", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Errorf("post: %v", err)
+			statuses <- 0
+			return
 		}
-		if qr.DocumentCache != "cold" {
-			t.Fatalf("sighting %d under brownout: document_cache %q, want cold (no promotion)", i, qr.DocumentCache)
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		statuses <- resp.StatusCode
+	}
+
+	go post() // takes the slot and parks in compile
+	waitMetric(t, url, "rsonpathd_admission_inflight_weight", 1, 5*time.Second)
+	go post() // parks in the wait queue
+	waitStatus("overloaded")
+
+	status, _, eb, hdr := postQuery(t, url, queryRequest{
+		Query: "$.a", Document: json.RawMessage(`{"a": 7}`), Mode: "count"})
+	if status != http.StatusTooManyRequests || hdr.Get("Retry-After") != "1" || eb.Error.Kind != "overload" {
+		t.Fatalf("arrival at a full queue: status %d Retry-After %q kind %q, want 429, 1, overload",
+			status, hdr.Get("Retry-After"), eb.Error.Kind)
+	}
+
+	unblock()
+	for i := 0; i < 2; i++ {
+		if st := <-statuses; st != http.StatusOK {
+			t.Errorf("held request %d: status %d, want 200", i, st)
 		}
 	}
-
-	// /healthz reports the overload — with a 200, because an overloaded
-	// daemon is alive by design.
-	hr, err := http.Get(url + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var health healthReport
-	if err := json.NewDecoder(hr.Body).Decode(&health); err != nil {
-		t.Fatal(err)
-	}
-	hr.Body.Close()
-	if hr.StatusCode != http.StatusOK || health.Status != "overloaded" || health.BrownoutLevel != 3 {
-		t.Fatalf("healthz under brownout: status %d %+v", hr.StatusCode, health)
-	}
-	if got := metricValue(t, url, "rsonpathd_brownout_level"); got != 3 {
-		t.Errorf("brownout_level metric = %d, want 3", got)
-	}
-
-	// Recovery: pressure drains, the ladder steps back up, bulk serves
-	// again and the suspended sightings promote immediately.
-	drive(0, 3)
-	if got := ladder.Level(); got != admission.BrownoutOff {
-		t.Fatalf("level after recovery = %d, want 0", got)
-	}
-	resp2, err := http.Post(url+"/v1/query?query=$.a", "application/x-ndjson",
-		strings.NewReader(`{"a": 1}`+"\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp2.Body)
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("bulk after recovery: status %d", resp2.StatusCode)
-	}
-	status, qr, _, _ := postQuery(t, url, queryRequest{Query: "$.a", Document: doc, Mode: "count"})
-	if status != http.StatusOK || qr.DocumentCache != "built" {
-		t.Fatalf("promotion after recovery: status %d document_cache %q, want built", status, qr.DocumentCache)
-	}
+	waitStatus("ok")
 }
 
 // plainRunner is a trivial compile-seam fake: clean runs on a named engine.

@@ -4,10 +4,10 @@
 // under the execution supervisor with a per-request deadline, and reports
 // degradation per request and in aggregate. See DESIGN.md §12 for the
 // architecture and §14 for the overload model: every request passes the
-// admission gate (weighted concurrency + in-flight bytes budget) before its
-// body is read, a brownout controller steps down a degradation ladder under
-// sustained pressure, and a circuit breaker fast-fails the supervisor's
-// DOM-oracle fallback during fault storms.
+// admission gate (weighted concurrency, a bounded deadline-aware wait queue
+// and an in-flight bytes budget) before its body is read, the gate alone
+// sheds overload with 429, and a circuit breaker fast-fails the
+// supervisor's DOM-oracle fallback during fault storms.
 //
 // Endpoints:
 //
@@ -62,8 +62,7 @@ type Config struct {
 	// process: entry counts say nothing about 100 MB documents.
 	DocCacheBytes int64
 	// Timeout is the per-request watchdog deadline (per record for NDJSON
-	// bodies); 0 disables it. Under brownout level BrownoutTightDeadlines
-	// the single-document deadline is halved.
+	// bodies); 0 disables it.
 	Timeout time.Duration
 	// FallbackOff disables the degradation ladder; internal engine faults
 	// then surface as HTTP 500 instead of a degraded 200.
@@ -92,12 +91,6 @@ type Config struct {
 	// unlimited. A request over the remaining budget is shed with 429; one
 	// over the whole budget is rejected with 413.
 	MaxInflightBytes int64
-	// Brownout enables the brownout controller (DESIGN.md §14): under
-	// sustained queue pressure the daemon first stops promoting documents
-	// into the index cache, then tightens watchdog deadlines, then sheds
-	// NDJSON bulk before point queries, recovering in reverse with
-	// hysteresis.
-	Brownout bool
 	// Breaker enables the circuit breaker around the supervisor's
 	// DOM-oracle fallback: a flood of internal-fault degradations opens the
 	// breaker and requests compile with the ladder disabled (fail fast)
@@ -151,9 +144,8 @@ type Server struct {
 	http     *http.Server
 	lis      net.Listener
 	gate     *admission.Gate
-	brown    *admission.Brownout // nil unless Config.Brownout
-	breaker  *admission.Breaker  // nil unless Config.Breaker (and fallback on)
-	draining atomic.Bool         // set by Shutdown; /healthz answers 503
+	breaker  *admission.Breaker // nil unless Config.Breaker (and fallback on)
+	draining atomic.Bool        // set by Shutdown; /healthz answers 503
 
 	// compileQuery/compileLines/compileSet produce the runner for a request;
 	// the defaults resolve through the compiled-query cache. The NF variants
@@ -197,9 +189,6 @@ func New(cfg Config) *Server {
 			QueueDepth:  cfg.AdmissionQueue,
 			BytesBudget: cfg.MaxInflightBytes,
 		}),
-	}
-	if cfg.Brownout {
-		s.brown = admission.NewBrownout(admission.BrownoutConfig{})
 	}
 	if cfg.Breaker && !cfg.FallbackOff {
 		s.breaker = admission.NewBreaker(admission.BreakerConfig{})
@@ -294,16 +283,12 @@ func (w *panicWriter) Write(b []byte) (int, error) {
 func (w *panicWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 // Flush empties the compiled-query and document-index caches and returns the
-// admission subsystem's adaptive state (brownout ladder, fallback breaker)
-// to baseline. Wired to SIGHUP in cmd/rsonpathd: the operator's "forget what
-// you have learned" knob after a deploy or a data change, logged and counted
-// in rsonpathd_cache_flushes_total.
+// fallback breaker to closed. Wired to SIGHUP in cmd/rsonpathd: the
+// operator's "forget what you have learned" knob after a deploy or a data
+// change, logged and counted in rsonpathd_cache_flushes_total.
 func (s *Server) Flush() {
 	s.cache.Purge()
 	s.docs.purge()
-	if s.brown != nil {
-		s.brown.Reset()
-	}
 	if s.breaker != nil {
 		s.breaker.Reset()
 	}
@@ -336,41 +321,6 @@ func (s *Server) baseOptions() []rsonpath.Option {
 func withOpts(opts []rsonpath.Option, extra ...rsonpath.Option) []rsonpath.Option {
 	out := make([]rsonpath.Option, 0, len(opts)+len(extra))
 	return append(append(out, opts...), extra...)
-}
-
-// brownoutLevel reads the current ladder position (0 when the controller is
-// disabled).
-func (s *Server) brownoutLevel() int {
-	if s.brown == nil {
-		return 0
-	}
-	return s.brown.Level()
-}
-
-// observePressure feeds one pressure sample to the brownout controller.
-func (s *Server) observePressure(p float64) {
-	if s.brown != nil {
-		s.brown.Observe(p)
-	}
-}
-
-// occupancy is the pressure signal for admitted (and brownout-shed) work:
-// wait-queue fill when queueing is on, slot fill otherwise. The queue only
-// forms at saturation, so its occupancy separates "busy" from "overloaded"
-// in a way raw slot usage cannot. Gate sheds report 1.0 directly; brownout
-// sheds deliberately report occupancy instead, so a brownout that succeeds
-// in draining the queue observes falling pressure and can step back up —
-// feeding its own sheds back as full pressure would latch the ladder down
-// forever.
-func (s *Server) occupancy() float64 {
-	snap := s.gate.Snapshot()
-	if snap.QueueCap > 0 {
-		return float64(snap.QueueDepth) / float64(snap.QueueCap)
-	}
-	if snap.Capacity > 0 {
-		return float64(snap.Used) / float64(snap.Capacity)
-	}
-	return 0
 }
 
 // Handler returns the daemon's HTTP handler, for embedding in a larger mux
@@ -444,12 +394,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // an overloaded daemon is alive and shedding by design, and failing the
 // liveness probe under load would turn an overload into an outage.
 type healthReport struct {
-	Status        string  `json:"status"` // "ok", "overloaded", or "draining"
-	Shard         string  `json:"shard,omitempty"`
-	BrownoutLevel int     `json:"brownout_level"`
-	Pressure      float64 `json:"pressure"`
-	Breaker       string  `json:"breaker"`
-	Gate          struct {
+	Status  string `json:"status"` // "ok", "overloaded" (wait queue full), or "draining"
+	Shard   string `json:"shard,omitempty"`
+	Breaker string `json:"breaker"`
+	Gate    struct {
 		Used        int64 `json:"used"`
 		Capacity    int64 `json:"capacity"`
 		Queue       int   `json:"queue"`
@@ -466,10 +414,7 @@ type healthReport struct {
 // The 503 is what health-gates cluster membership during rolling drains.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	snap := s.gate.Snapshot()
-	rep := healthReport{Status: "ok", Shard: s.cfg.Shard, BrownoutLevel: s.brownoutLevel(), Breaker: "off"}
-	if s.brown != nil {
-		rep.Pressure = s.brown.Pressure()
-	}
+	rep := healthReport{Status: "ok", Shard: s.cfg.Shard, Breaker: "off"}
 	if s.breaker != nil {
 		rep.Breaker = s.breaker.State().String()
 	}
@@ -479,7 +424,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	rep.Gate.QueueCap = snap.QueueCap
 	rep.Gate.Bytes = snap.Bytes
 	rep.Gate.BytesBudget = snap.BytesBudget
-	if rep.BrownoutLevel > 0 || (snap.QueueCap > 0 && snap.QueueDepth >= snap.QueueCap) {
+	if snap.QueueCap > 0 && snap.QueueDepth >= snap.QueueCap {
 		rep.Status = "overloaded"
 	}
 	if s.draining.Load() {
@@ -503,7 +448,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		usedBytes:   snap.Bytes,
 		bytesBudget: snap.BytesBudget,
 	}
-	adm.brownoutLevel = s.brownoutLevel()
 	if s.breaker != nil {
 		adm.breakerState = int(s.breaker.State())
 		adm.breakerOpens = s.breaker.Opens()

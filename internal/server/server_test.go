@@ -802,7 +802,6 @@ func TestMetricsNamesPinned(t *testing.T) {
 		"rsonpathd_admission_shed_deadline_total",
 		"rsonpathd_admission_shed_bytes_total",
 		"rsonpathd_admission_shed_too_large_total",
-		"rsonpathd_admission_shed_brownout_total",
 	} {
 		metricValue(t, url, name) // fails the test when the series is missing
 	}
