@@ -26,7 +26,10 @@ import (
 // return arbitrary offsets). There is no partial invalidation; to query
 // changed bytes, build a new index.
 //
-// The index costs 6 words per 64 input bytes (~9.4% of the document size).
+// The index costs 6 words (48 bytes) per 64-byte block of input, 75% of the
+// document's size, plus the bracket-excess summary that lets depth skips
+// pass whole blocks unread: 2 bytes per block and 8 per 64 blocks, another
+// ~3.3%. With the summary the index is ~78% of the document.
 type IndexedDocument struct {
 	data   []byte
 	in     *input.BytesInput
@@ -63,10 +66,11 @@ func (d *IndexedDocument) Len() int { return len(d.data) }
 
 // Footprint returns the resident memory cost of the index in bytes: the
 // document it aliases plus the six mask planes (one 64-bit word each per
-// 64-byte block, ~9.4% of the document). Cache layers that budget by bytes
-// (rsonpathd's document cache) charge entries by this number.
+// 64-byte block) and the bracket-excess summary, ~78% of the document on
+// top of it. Cache layers that budget by bytes (rsonpathd's document cache)
+// charge entries by this number.
 func (d *IndexedDocument) Footprint() int {
-	return len(d.data) + 6*8*d.planes.Blocks()
+	return len(d.data) + d.planes.Footprint()
 }
 
 // RunIndexed is Run over a pre-indexed document: matches are identical to

@@ -94,10 +94,20 @@ type DFA struct {
 	Initial StateID
 	Trash   StateID
 	query   *jsonpath.Query
+	// rejectFrom holds RejectFrom per state, beside States so that a State
+	// stays 64 bytes, one cache line.
+	rejectFrom []int
 }
 
 // Query returns the source query.
 func (d *DFA) Query() *jsonpath.Query { return d.query }
+
+// RejectFrom returns the array index from which state s rejects every
+// entry, or -1. It is set for states with index transitions when every
+// index range is bounded and the fallback rejects: an array scan can stop
+// once its entry counter reaches it, the sibling skip of §3.3 for index
+// and slice selectors (extension).
+func (d *DFA) RejectFrom(s StateID) int { return d.rejectFrom[s] }
 
 // Transition returns the state reached from s on an object property name.
 func (d *DFA) Transition(s StateID, label []byte) StateID {
@@ -557,6 +567,7 @@ func (d *DFA) annotate() {
 		}
 	}
 
+	d.rejectFrom = make([]int, n)
 	for s := range d.States {
 		st := &d.States[s]
 		st.Rejecting = !canAccept[s]
@@ -589,6 +600,13 @@ func (d *DFA) annotate() {
 		st.CanAcceptInObject = anyLabelAccepts || fbAccepts
 		st.CanAcceptInArray = fbAccepts || anyIndexAccepts
 		st.NeedsIndexInArray = len(st.Indexes) > 0
+
+		// Index ranges come in increasing order and only the last can be
+		// open (Hi < 0); past its end only the fallback applies.
+		d.rejectFrom[s] = -1
+		if st.NeedsIndexInArray && !canAccept[st.Fallback] {
+			d.rejectFrom[s] = st.Indexes[len(st.Indexes)-1].Hi
+		}
 	}
 }
 
@@ -627,6 +645,9 @@ func (d *DFA) String() string {
 			}
 		}
 		fmt.Fprintf(&b, "    _ -> %d\n", st.Fallback)
+		if from := d.rejectFrom[s]; from >= 0 {
+			fmt.Fprintf(&b, "    entries from [%d] rejected\n", from)
+		}
 	}
 	return b.String()
 }

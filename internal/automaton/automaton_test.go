@@ -453,3 +453,43 @@ func TestIndexRangeTransitions(t *testing.T) {
 		t.Fatalf("high index rejected by open slice:\n%s", d)
 	}
 }
+
+// TestRejectFrom pins the index past which every array entry is rejected:
+// the end of the last index range when every range is bounded and the
+// fallback rejects, and -1 when an open slice or a wildcard or descendant
+// fallback keeps later entries alive.
+func TestRejectFrom(t *testing.T) {
+	for _, tc := range []struct {
+		query string
+		want  int // RejectFrom of the state reached by the path below
+		path  []string
+	}{
+		{"$[0]", 1, nil},
+		{"$[3]", 4, nil},
+		{"$[0:2].b", 2, nil},
+		{"$[1,5:7]", 7, nil},
+		{"$.a[2:5]", 5, []string{"a"}},
+		{"$[1:]", -1, nil},
+		{"$[0,3:]", -1, nil},
+		{"$..a[0]", -1, []string{"a"}},
+		{"$.a", -1, nil},
+		{"$.*", -1, nil},
+	} {
+		d := MustCompile(jsonpath.MustParse(tc.query))
+		s := d.Initial
+		for _, l := range tc.path {
+			s = d.Transition(s, []byte(l))
+		}
+		if got := d.RejectFrom(s); got != tc.want {
+			t.Errorf("%s: RejectFrom = %d, want %d:\n%s", tc.query, got, tc.want, d)
+		}
+		for id := range d.States {
+			if from := d.RejectFrom(StateID(id)); from >= 0 && !d.States[id].NeedsIndexInArray {
+				t.Errorf("%s: state %d without index transitions has RejectFrom %d", tc.query, id, from)
+			}
+		}
+	}
+	if s := MustCompile(jsonpath.MustParse("$.a[3]")).String(); !strings.Contains(s, "entries from [4] rejected") {
+		t.Errorf("String() does not show RejectFrom:\n%s", s)
+	}
+}

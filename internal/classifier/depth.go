@@ -16,6 +16,13 @@ import "rsonpath/internal/simd"
 // loaded: the scan walks plane words, classifying further windows as it
 // runs out, and only the landing block is materialized.
 //
+// Over whole-document planes from BuildPlanes (an indexed document) the
+// skip reads no plane word between its start and landing blocks: the
+// planes carry a bracket-excess summary (excess.go), and every block and
+// 64-block superblock whose minimum prefix excess cannot bring the depth
+// to zero is passed with one addition. The result, verdicts included, is
+// the plane walk's.
+//
 // ok is false when the input ends before the subtree closes, or when the
 // closer reached is of the other kind than open — both prove the document
 // malformed. (Other mismatched interleavings may land elsewhere than a
@@ -23,6 +30,9 @@ import "rsonpath/internal/simd"
 // The stream is left on the block containing the returned position; the
 // caller resumes structural classification with Structural.Reset.
 func SkipToClose(s *Stream, from int, open byte) (closePos int, ok bool) {
+	if s.w.blockEx != nil {
+		return skipSummarized(s, from, open)
+	}
 	// from may precede the current block when the caller's iterator peeked
 	// ahead (everything at stake, in particular the sought closer, lies at
 	// or after the current block), or lie in a later block; never look

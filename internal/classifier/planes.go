@@ -35,10 +35,20 @@ type Planes struct {
 	// EndEscaped records whether the document ends on an unfinished escape
 	// (an odd backslash run against the end of input).
 	EndEscaped bool
+
+	// The bracket-excess summary (excess.go), built by BuildPlanes and
+	// absent from a cold stream's windows.
+	blockEx []uint64
+	superEx []uint64
 }
 
 // Blocks returns the number of mask words per plane.
 func (p *Planes) Blocks() int { return len(p.Quote) }
+
+// Footprint returns the bytes the planes occupy: six words (48 bytes) per
+// block, plus the bracket-excess summary's words (2 bytes per block and 8
+// per superblock of 64 blocks) when the planes carry one.
+func (p *Planes) Footprint() int { return 8 * (6*p.Blocks() + len(p.blockEx) + len(p.superEx)) }
 
 // BuildPlanes classifies data once with the batched kernels and returns the
 // mask planes: classify over a window that is the whole document. Plane
@@ -55,12 +65,14 @@ func BuildPlanes(data []byte) *Planes {
 	if n == 0 {
 		return p
 	}
-	p.carve(simd.AlignedWords(6*rn), n, rn)
+	backing := simd.AlignedWords(6*rn + summaryWords(n))
+	p.carve(backing, n, rn)
 	var qs quoteState
 	var tail simd.Block
 	classify(data, p, &qs, &tail)
 	p.EndInString = qs.prevInString != 0
 	p.EndEscaped = qs.prevEscaped != 0
+	p.summarize(backing[6*rn:])
 	return p
 }
 

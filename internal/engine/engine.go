@@ -7,14 +7,16 @@
 //   - skipping children   — fast-forward over subtrees entered through
 //     transitions into the rejecting state;
 //   - skipping siblings   — fast-forward to the enclosing closer once a
-//     unitary state's single label has been matched;
+//     unitary state's single label has been matched, or once an array's
+//     entry counter passes the last index its state selects;
 //   - skipping to a label — the head-skip outer loop for queries whose
 //     initial state is waiting (queries that begin with a descendant).
 //
 // Documented deviations from the paper's pseudocode are listed in DESIGN.md:
 // an explicit element-kind bitstack drives comma/colon toggling, sibling
-// skips fire only when the unitary label actually matched, and the first
-// token of a (sub)document is entered without a transition.
+// skips fire only when the unitary label actually matched, index and slice
+// selectors get a sibling skip of their own, and the first token of a
+// (sub)document is entered without a transition.
 //
 // The engine scans rather than validates: on well-formed JSON its output
 // equals the DOM oracle's; on malformed input it reports ErrMalformed when
@@ -46,7 +48,8 @@ type Options struct {
 	DisableHeadSkip bool
 	// DisableSkipChildren turns off fast-forwarding over rejected subtrees.
 	DisableSkipChildren bool
-	// DisableSkipSiblings turns off fast-forwarding after unitary matches.
+	// DisableSkipSiblings turns off fast-forwarding after unitary matches
+	// and past an array's last selected index.
 	DisableSkipSiblings bool
 	// DisableSkipLeaves keeps commas and colons enabled at all times
 	// instead of toggling them by state.
@@ -499,6 +502,18 @@ func (r *run) subtree(state automaton.StateID, openPos int, openCh byte) (endPos
 		case ',':
 			if r.e.needsIndex && !r.kinds.Get(depth) && r.indices.Len() > 0 {
 				r.indices.Inc()
+				if from := r.dfa.RejectFrom(state); from >= 0 && r.currentIndex() >= from &&
+					!r.e.opts.DisableSkipSiblings {
+					// The last selected index has passed: no later entry
+					// can match, so fast-forward to the array's closer and
+					// let the main loop process it.
+					end, ok := classifier.SkipToClose(r.stream, pos+1, '[')
+					if !ok {
+						return 0, r.errMalformed(pos, "unterminated array")
+					}
+					r.iter.Reset(end)
+					continue
+				}
 			}
 			if _, nch, ok := r.iter.Peek(); ok && (nch == '{' || nch == '[') {
 				continue // composite entry: handled by its Opening event

@@ -7,8 +7,11 @@ import (
 	"testing"
 
 	"rsonpath/internal/automaton"
+	"rsonpath/internal/classifier"
 	"rsonpath/internal/dom"
+	"rsonpath/internal/input"
 	"rsonpath/internal/jsonpath"
+	"rsonpath/internal/simd"
 )
 
 // allOptionSets are the optimization configurations every differential test
@@ -582,6 +585,74 @@ func TestSliceSelectors(t *testing.T) {
 		"$.c.*[1:]", "$..[1:3]", "$[0:]", "$.a[0,3:5]", "$.a[1:2].b",
 	} {
 		assertAgainstOracle(t, q, doc)
+	}
+}
+
+// blockCounter is an input that counts the blocks a run loads at or past
+// block from.
+type blockCounter struct {
+	input.Input
+	from, loads int
+}
+
+func (c *blockCounter) Block(idx int) (*simd.Block, int) {
+	if idx >= c.from {
+		c.loads++
+	}
+	return c.Input.Block(idx)
+}
+
+// TestIndexSelectorsStopAtLastIndex pins the sibling skip for index and
+// slice selectors: once an array's entry counter passes the last selected
+// index, the run jumps to the array's closer, so the blocks of the
+// remaining entries are never loaded — neither on a cold run nor over
+// planes. Without the skip, every entry is visited and depth-skipped,
+// which loads at least one block per entry.
+func TestIndexSelectorsStopAtLastIndex(t *testing.T) {
+	const entries = 10000
+	var sb strings.Builder
+	sb.WriteString(`{"a": [`)
+	for i := 0; i < entries; i++ {
+		if i > 0 {
+			sb.WriteString(", ")
+		}
+		fmt.Fprintf(&sb, `{"b": %d, "pad": "%064d"}`, i, i)
+	}
+	sb.WriteString(`], "z": 1}`)
+	doc := []byte(sb.String())
+	planes := classifier.BuildPlanes(doc)
+	for _, tc := range []struct {
+		query string
+		last  int // entries selected: the skip starts after entry last-1
+	}{{"$.a[0]", 1}, {"$.a[0:2].b", 2}} {
+		e, err := CompileQuery(tc.query, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := dom.MatchOffsets(dom.MustParse(doc), jsonpath.MustParse(tc.query))
+		// The first block past the last selected entry's closer.
+		end := strings.Index(string(doc), fmt.Sprintf(`"%064d"}`, tc.last-1)) + 67
+		from := end/simd.BlockSize + 1
+		for _, indexed := range []bool{false, true} {
+			in := &blockCounter{Input: input.NewBytes(doc), from: from}
+			var got []int
+			emit := func(pos int) { got = append(got, pos) }
+			if indexed {
+				err = e.RunPlanes(in, planes, emit)
+			} else {
+				err = e.RunInput(in, emit)
+			}
+			if err != nil {
+				t.Fatalf("%s (indexed %v): %v", tc.query, indexed, err)
+			}
+			if !equalInts(got, want) {
+				t.Fatalf("%s (indexed %v): %v, oracle %v", tc.query, indexed, got, want)
+			}
+			if in.loads > 4 {
+				t.Errorf("%s (indexed %v): %d blocks loaded past the last selected entry, want O(1)",
+					tc.query, indexed, in.loads)
+			}
+		}
 	}
 }
 

@@ -46,7 +46,9 @@ func TestBoundedExhaustiveDifferential(t *testing.T) {
 	docs = build(2)
 
 	var queries []string
-	atoms := []string{".a", ".b", ".*", "..a", "..b", "..*", "[0]", "[1]"}
+	// [0:1] is bounded, so its arrays stop after entry 0; [1:] is open and
+	// must not stop.
+	atoms := []string{".a", ".b", ".*", "..a", "..b", "..*", "[0]", "[1]", "[0:1]", "[1:]"}
 	for _, a := range atoms {
 		queries = append(queries, "$"+a)
 		for _, b := range atoms {

@@ -13,21 +13,22 @@ import (
 // docCache is the daemon's classify-once-query-many layer: an LRU of
 // rsonpath.IndexedDocument keyed by the SHA-256 of the document bytes. A
 // document is only counted until the execution planner predicts the index
-// build amortizes (building costs one classification sweep plus ~9.4% of
-// the document in mask planes, which BENCH_swar.json shows repays itself
-// within ~8 queries — counting first keeps one-shot documents from churning
-// the cache); once a document proves hot the index is built and every later
-// request with the same bytes serves its classification from the planes.
-// The promotion decision is the planner's PredictRuns/ShouldIndex pair —
-// the same rule library callers get from Query.Explain — which promotes on
-// the second sighting.
+// build amortizes (building costs one classification sweep plus ~78% of
+// the document in mask planes and their bracket-excess summary, which
+// BENCH_swar.json shows repays itself within a few queries — counting
+// first keeps one-shot documents from churning the cache); once a document
+// proves hot the index is built and every later request with the same
+// bytes serves its classification from the planes. The promotion decision
+// is the planner's PredictRuns/ShouldIndex pair — the same rule library
+// callers get from Query.Explain — which promotes on the second sighting.
 //
 // The cache is bounded two ways: by entry count (promoted and counting
 // entries alike — the map and list nodes are the cost being bounded) and by
-// total resident *bytes* of promoted indexes (document copy + mask planes,
-// the IndexedDocument.Footprint). Byte-bounding is what actually protects
-// the process: a 128-entry cache of 100 MB documents is 14 GB resident,
-// which no entry count expresses. Eviction is LRU under both bounds.
+// total resident *bytes* of promoted indexes (document copy + mask planes +
+// excess summary, the IndexedDocument.Footprint). Byte-bounding is what
+// actually protects the process: a 128-entry cache of 100 MB documents is
+// 14 GB resident, which no entry count expresses. Eviction is LRU under
+// both bounds.
 //
 // Content hashing makes the cache safe by construction: a stale entry is
 // impossible because a changed document is a different key. Collisions are

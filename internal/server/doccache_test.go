@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"rsonpath"
@@ -96,6 +97,26 @@ func TestDocCacheByteBound(t *testing.T) {
 	}
 	if _, built := c.lookup(doc(2)); built {
 		t.Fatal("newest document was evicted by the byte bound prematurely")
+	}
+}
+
+// TestDocCacheChargesSummary pins what a promoted index costs the byte
+// budget: the document, six plane words (48 bytes) per 64-byte block, and
+// the bracket-excess summary — 2 bytes per block and 8 per superblock of
+// 64 blocks, in whole words.
+func TestDocCacheChargesSummary(t *testing.T) {
+	doc := []byte(`[` + strings.Repeat(`{"a": [1, 2, 3]}, `, 6000) + `0]`)
+	c := newDocCache(4, 0)
+	idx, _ := promote(c, doc)
+	if idx == nil {
+		t.Fatal("second sighting did not build")
+	}
+	n := (len(doc) + 63) / 64
+	want := len(doc) + 48*n + 8*((n+3)/4+(n+63)/64)
+	resident, _, _ := c.stats()
+	if idx.Footprint() != want || resident != int64(want) {
+		t.Fatalf("footprint %d, resident %d, want %d (%d bytes, %d blocks)",
+			idx.Footprint(), resident, want, len(doc), n)
 	}
 }
 
