@@ -30,7 +30,7 @@ var benchHarness = func() *bench.Harness {
 }()
 
 // benchSpec runs one query spec on one engine under testing.B.
-func benchSpec(b *testing.B, id string, kind rsonpath.EngineKind) {
+func benchSpec(b *testing.B, id string, v bench.Variant) {
 	b.Helper()
 	spec, ok := bench.SpecByID(id)
 	if !ok {
@@ -40,9 +40,9 @@ func benchSpec(b *testing.B, id string, kind rsonpath.EngineKind) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	q, err := rsonpath.Compile(spec.Query, rsonpath.WithEngine(kind))
-	if err == rsonpath.ErrUnsupportedQuery {
-		b.Skipf("%s unsupported by %v", id, kind)
+	q, err := v.Compile(spec.Query)
+	if bench.Unsupported(err) {
+		b.Skipf("%s unsupported by %s", id, v.Label)
 	}
 	if err != nil {
 		b.Fatal(err)
@@ -59,9 +59,9 @@ func benchSpec(b *testing.B, id string, kind rsonpath.EngineKind) {
 // benchGroup runs a set of spec IDs across all three engines.
 func benchGroup(b *testing.B, ids []string) {
 	for _, id := range ids {
-		for _, kind := range []rsonpath.EngineKind{rsonpath.EngineRsonpath, rsonpath.EngineSki, rsonpath.EngineSurfer} {
-			b.Run(fmt.Sprintf("%s/%s", id, kind), func(b *testing.B) {
-				benchSpec(b, id, kind)
+		for _, v := range bench.Engines {
+			b.Run(fmt.Sprintf("%s/%s", id, v.Label), func(b *testing.B) {
+				benchSpec(b, id, v)
 			})
 		}
 	}
@@ -182,7 +182,7 @@ func BenchmarkAblation(b *testing.B) {
 	}
 	for _, v := range bench.AblationVariants {
 		b.Run(v.Label, func(b *testing.B) {
-			q, err := bench.CompileVariant(spec.Query, v)
+			q, err := v.Compile(spec.Query)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -207,7 +207,7 @@ func BenchmarkStackless(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, v := range bench.StacklessVariants {
-		q, err := bench.CompileVariant(bench.StacklessQuery, v)
+		q, err := v.Compile(bench.StacklessQuery)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -59,7 +59,7 @@ func TestCLIRsonpath(t *testing.T) {
 	}
 
 	// stdin mode with an explicit engine.
-	cmd := exec.Command(bin, "-engine", "surfer", "-count", "$.b.*.url")
+	cmd := exec.Command(bin, "-engine", "dom", "-count", "$.b.*.url")
 	cmd.Stdin = strings.NewReader(`{"a": 0, "b": [{"url": 1}]}`)
 	out, err = cmd.Output()
 	if err != nil {

@@ -62,6 +62,8 @@ func TestCLIUsageErrors(t *testing.T) {
 		{"-bogus", "$.a"},                    // unknown flag
 		{"-engine", "zip", "$.a"},            // unknown engine
 		{"-engine", "auto", "$.a"},           // the planner is not an engine
+		{"-engine", "surfer", "$.a"},         // the paper's baselines are
+		{"-engine", "ski", "$.a"},            // benchmark-only
 		{"$.a[", "-"},                        // unparseable query
 		{"-lines", "-e", "$.a", "-e", "$.b"}, // -lines with a query set
 	} {
@@ -70,11 +72,17 @@ func TestCLIUsageErrors(t *testing.T) {
 			t.Fatalf("args %v: code %d, want %d", args, code, exitUsage)
 		}
 	}
+	// A query outside the stackless fragment is a usage error that names
+	// the fragment.
+	code, _, stderr := cli(t, "{}", "-engine", "stackless", "$.a..b")
+	if code != exitUsage || !strings.Contains(stderr, "descendant-only label chain") || strings.Contains(stderr, "JSONSki") {
+		t.Fatalf("stackless rejection: code %d stderr %q", code, stderr)
+	}
 }
 
 func TestCLIMalformedInput(t *testing.T) {
-	for _, engine := range []string{"rsonpath", "surfer", "ski", "dom"} {
-		code, _, stderr := cli(t, `{"a": 1`, "-engine", engine, "$.a")
+	for _, engine := range []string{"rsonpath", "stackless", "dom"} {
+		code, _, stderr := cli(t, `{"a": 1`, "-engine", engine, "$..a")
 		if code != exitMalformed {
 			t.Fatalf("[%s] code %d stderr %q, want %d", engine, code, stderr, exitMalformed)
 		}
@@ -209,12 +217,12 @@ func TestCLIExplain(t *testing.T) {
 	if out != "1\n" {
 		t.Fatalf("stdout %q", out)
 	}
-	if !strings.Contains(stderr, "rsonpath: plan: strategy=scan engine=rsonpath rule=head-skip") {
+	if !strings.Contains(stderr, "rsonpath: plan: strategy=scan engine=rsonpath rule=no-index") {
 		t.Fatalf("stderr %q", stderr)
 	}
 
 	// A pinned engine is reported as a constraint, not a choice.
-	code, _, stderr = cli(t, `{"a": 1}`, "-explain", "-engine", "surfer", "-count", "$..a")
+	code, _, stderr = cli(t, `{"a": 1}`, "-explain", "-engine", "dom", "-count", "$..a")
 	if code != exitOK || !strings.Contains(stderr, "rule=forced-engine") {
 		t.Fatalf("code %d stderr %q", code, stderr)
 	}

@@ -99,7 +99,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	var (
 		count    = fs.Bool("count", false, "print only the number of matches")
 		offsets  = fs.Bool("offsets", false, "print byte offsets instead of values")
-		engine   = fs.String("engine", "rsonpath", "engine: rsonpath, surfer, ski, stackless, or dom")
+		engine   = fs.String("engine", "rsonpath", "engine: rsonpath, stackless, or dom")
 		explain  = fs.Bool("explain", false, "print the chosen execution plan and its rationale per query to stderr")
 		lines    = fs.Bool("lines", false, "treat input as newline-delimited JSON records (bad records are skipped with a warning)")
 		qfile    = fs.String("queries", "", "file with one query per line (# comments); combined after -e queries")
@@ -452,7 +452,7 @@ func runIndexed(queries []string, opts []rsonpath.Option, in io.Reader, out *buf
 		}
 		if explain {
 			fmt.Fprintf(stderr, "rsonpath: plan %d: %s\n", i,
-				q.Explain(rsonpath.DocStats{Bytes: len(data), Indexed: true}))
+				q.Explain(rsonpath.DocStats{Indexed: true}))
 		}
 		switch {
 		case count:
@@ -587,15 +587,11 @@ func engineKind(name string) (rsonpath.EngineKind, error) {
 	switch name {
 	case "rsonpath":
 		return rsonpath.EngineRsonpath, nil
-	case "surfer":
-		return rsonpath.EngineSurfer, nil
-	case "ski":
-		return rsonpath.EngineSki, nil
 	case "stackless":
 		return rsonpath.EngineStackless, nil
 	case "dom":
 		return rsonpath.EngineDOM, nil
 	default:
-		return 0, fmt.Errorf("unknown engine %q (want rsonpath, surfer, ski, stackless, or dom)", name)
+		return 0, fmt.Errorf("unknown engine %q (want rsonpath, stackless, or dom)", name)
 	}
 }

@@ -4,11 +4,17 @@ package rsonpath
 // consensus cases of the json-path-comparison project the paper uses in
 // Appendix D, restricted to child/descendant/wildcard/index/union
 // selectors and node semantics. Every case runs on all engines that
-// support its query.
+// support its query: the public engines through Compile, and the paper's
+// comparison systems (the JSONSki and JsonSurfer analogues), built directly
+// from their packages, against the DOM oracle.
 
 import (
+	"errors"
 	"fmt"
 	"testing"
+
+	"rsonpath/internal/ski"
+	"rsonpath/internal/surfer"
 )
 
 type complianceCase struct {
@@ -80,37 +86,81 @@ var complianceCases = []complianceCase{
 func TestCompliance(t *testing.T) {
 	for _, c := range complianceCases {
 		t.Run(c.name, func(t *testing.T) {
-			for _, kind := range []EngineKind{EngineRsonpath, EngineSurfer, EngineDOM, EngineSki} {
-				q, err := Compile(c.query, WithEngine(kind))
-				if err == ErrUnsupportedQuery {
-					continue // ski's restricted fragment
-				}
-				if err != nil {
-					t.Fatalf("[%v] compile: %v", kind, err)
-				}
-				if kind == EngineSki && queryNeedsFullWildcard(c) {
-					continue // ski's wildcard skips object fields by design
-				}
-				vals, err := q.MatchValues([]byte(c.doc))
-				if err != nil {
-					t.Fatalf("[%v] run: %v", kind, err)
-				}
-				got := make([]string, len(vals))
-				for i, v := range vals {
-					got[i] = string(v)
-				}
-				if fmt.Sprint(got) != fmt.Sprint(c.want) {
-					t.Fatalf("[%v] %s on %s:\n  got  %q\n  want %q",
-						kind, c.query, c.doc, got, c.want)
-				}
-			}
+			checkPublicEngines(t, c)
+			checkBaselines(t, c)
 		})
 	}
 }
 
+// checkPublicEngines runs c on every engine WithEngine offers that
+// supports its query and compares the values to c.want.
+func checkPublicEngines(t *testing.T, c complianceCase) {
+	t.Helper()
+	for _, kind := range []EngineKind{EngineRsonpath, EngineDOM, EngineStackless} {
+		q, err := Compile(c.query, WithEngine(kind))
+		if errors.Is(err, ErrUnsupportedQuery) {
+			continue // stackless's descendant-only fragment
+		}
+		if err != nil {
+			t.Fatalf("[%v] compile: %v", kind, err)
+		}
+		vals, err := q.MatchValues([]byte(c.doc))
+		if err != nil {
+			t.Fatalf("[%v] run: %v", kind, err)
+		}
+		got := make([]string, len(vals))
+		for i, v := range vals {
+			got[i] = string(v)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(c.want) {
+			t.Fatalf("[%v] %s on %s:\n  got  %q\n  want %q",
+				kind, c.query, c.doc, got, c.want)
+		}
+	}
+}
+
+// baselines are the paper's comparison engines. No public path reaches
+// them, so the corpus builds them from their packages.
+var baselines = []struct {
+	name    string
+	compile func(query string) (runner, error)
+}{
+	{"ski", func(query string) (runner, error) { return ski.CompileQuery(query) }},
+	{"surfer", func(query string) (runner, error) { return surfer.CompileQuery(query) }},
+}
+
+// checkBaselines runs c on both comparison engines and compares their
+// offsets to the DOM oracle's.
+func checkBaselines(t *testing.T, c complianceCase) {
+	t.Helper()
+	want, err := MustCompile(c.query, WithEngine(EngineDOM)).MatchOffsets([]byte(c.doc))
+	if err != nil {
+		t.Fatalf("[dom] run: %v", err)
+	}
+	for _, b := range baselines {
+		r, err := b.compile(c.query)
+		if errors.Is(err, ski.ErrUnsupported) {
+			continue // ski's restricted fragment
+		}
+		if err != nil {
+			t.Fatalf("[%s] compile: %v", b.name, err)
+		}
+		if b.name == "ski" && queryNeedsFullWildcard(c) {
+			continue // ski's wildcard skips object fields by design
+		}
+		got, err := runOffsets(r, []byte(c.doc))
+		if err != nil {
+			t.Fatalf("[%s] run: %v", b.name, err)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("[%s] %s on %s: offsets %v, DOM %v", b.name, c.query, c.doc, got, want)
+		}
+	}
+}
+
 // queryNeedsFullWildcard reports whether the case's expectations depend on
-// idiomatic (object-traversing) wildcards, which EngineSki deliberately
-// lacks.
+// idiomatic (object-traversing) wildcards, which the ski baseline
+// deliberately lacks.
 func queryNeedsFullWildcard(c complianceCase) bool {
 	switch c.name {
 	case "wildcard object", "double wildcard", "wildcard empty object":
@@ -136,24 +186,8 @@ var sliceComplianceCases = []complianceCase{
 func TestSliceCompliance(t *testing.T) {
 	for _, c := range sliceComplianceCases {
 		t.Run(c.name, func(t *testing.T) {
-			for _, kind := range []EngineKind{EngineRsonpath, EngineSurfer, EngineDOM} {
-				q, err := Compile(c.query, WithEngine(kind))
-				if err != nil {
-					t.Fatalf("[%v] compile: %v", kind, err)
-				}
-				vals, err := q.MatchValues([]byte(c.doc))
-				if err != nil {
-					t.Fatalf("[%v] run: %v", kind, err)
-				}
-				got := make([]string, len(vals))
-				for i, v := range vals {
-					got[i] = string(v)
-				}
-				if fmt.Sprint(got) != fmt.Sprint(c.want) {
-					t.Fatalf("[%v] %s on %s:\n  got  %q\n  want %q",
-						kind, c.query, c.doc, got, c.want)
-				}
-			}
+			checkPublicEngines(t, c)
+			checkBaselines(t, c)
 		})
 	}
 }

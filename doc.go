@@ -28,24 +28,23 @@
 //
 // # Engines
 //
-// Besides the default accelerated engine, four alternative engines are
-// available via WithEngine: EngineSurfer, a byte-at-a-time streaming
-// baseline with no skipping (JsonSurfer's role in the paper's evaluation);
-// EngineSki, a reimplementation of JSONSki's restricted fragment (child and
-// array-wildcard selectors only); EngineDOM, the tree-building reference
+// Besides the default accelerated engine, two alternative engines are
+// available via WithEngine: EngineDOM, the tree-building reference
 // implementation, which also supports the legacy path semantics via
 // WithSemantics; and EngineStackless, the depth-register automaton of the
-// paper's §3.2 for descendant-only label chains.
+// paper's §3.2 for descendant-only label chains. The paper's comparison
+// systems (JSONSki and JsonSurfer analogues) and its ablation toggles live
+// in the benchmark harness, not in this API.
 //
 // # Execution plans
 //
 // Query.Explain reports how a run would execute (DESIGN.md §13): the
-// accelerated engine's scan, whose rule names its dominant skipping
-// mechanism (head-skip, child-skipping or depth-stack); the indexed path
-// when a document classified once by Index is in hand (RunIndexed); or the
-// engine pinned with WithEngine. Head-skip, skip-children and
-// skip-siblings are mechanisms inside the one scan, not separate
-// strategies.
+// accelerated engine's scan over the raw bytes; the indexed path when a
+// document classified once by Index is in hand (RunIndexed); or the engine
+// pinned with WithEngine. The plan decides from three facts: the pinned
+// engine, whether the query head-skips, and whether WithTimeout armed the
+// watchdog. Head-skip, skip-children and skip-siblings are mechanisms
+// inside the one scan, not separate strategies.
 //
 // Query composition (Pipeline), newline-delimited streaming (RunLines),
 // value extraction (ValueAt), and string decoding (DecodeString) round out

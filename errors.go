@@ -99,8 +99,6 @@ func (e *InternalError) Error() string {
 // WithMaxDepth bounds the document nesting a run will walk; deeper input
 // aborts with a *LimitError. The default is DefaultMaxDepth; negative
 // values disable the bound entirely (not recommended on untrusted input).
-// EngineSki is exempt: its memory is bounded by the query, not the
-// document, so no limit is needed (DESIGN.md §9).
 func WithMaxDepth(n int) Option {
 	return func(c *config) { c.maxDepth = n }
 }

@@ -27,7 +27,7 @@ import (
 
 // faultEngines are the engines with a streaming surface (everything but the
 // DOM oracle, which needs the whole document in memory).
-var faultEngines = []EngineKind{EngineRsonpath, EngineSurfer, EngineSki, EngineStackless}
+var faultEngines = []EngineKind{EngineRsonpath, EngineStackless}
 
 // allFaultCases is the full compliance corpus, both tables.
 func allFaultCases() []complianceCase {
@@ -38,7 +38,7 @@ func allFaultCases() []complianceCase {
 }
 
 // runOffsets collects the match offsets of one in-memory run.
-func runOffsets(q *Query, doc []byte) ([]int, error) {
+func runOffsets(q runner, doc []byte) ([]int, error) {
 	var offs []int
 	err := q.Run(doc, func(pos int) { offs = append(offs, pos) })
 	return offs, err
@@ -278,11 +278,10 @@ func TestFaultDeepNesting(t *testing.T) {
 	// for its closer-kind map.
 	queries := map[EngineKind]string{
 		EngineRsonpath:  "$..[0]",
-		EngineSurfer:    "$.a",
 		EngineDOM:       "$.a",
 		EngineStackless: "$..a",
 	}
-	for _, kind := range []EngineKind{EngineRsonpath, EngineSurfer, EngineDOM, EngineStackless} {
+	for _, kind := range []EngineKind{EngineRsonpath, EngineDOM, EngineStackless} {
 		q, err := Compile(queries[kind], WithEngine(kind))
 		if err != nil {
 			t.Fatalf("[%v] compile: %v", kind, err)
@@ -317,21 +316,11 @@ func TestFaultDeepNesting(t *testing.T) {
 	} else if !errors.Is(err, ErrMalformed) && !errors.Is(err, ErrLimitExceeded) {
 		t.Fatalf("[rsonpath head-skip] untyped error %v", err)
 	}
-
-	// EngineSki is exempt by design: its memory is bounded by the query, not
-	// the document. It must still return (a typed error for the unterminated
-	// document), not crash.
-	q := MustCompile("$.a", WithEngine(EngineSki))
-	if _, err := runOffsets(q, doc); err == nil {
-		t.Fatal("[ski] accepted a megabyte of '['")
-	} else if errors.Is(err, ErrLimitExceeded) {
-		t.Fatalf("[ski] hit a depth limit it is exempt from: %v", err)
-	}
 }
 
 func TestWithMaxDepth(t *testing.T) {
 	doc := []byte(`{"a": {"b": {"c": {"d": 1}}}}`)
-	for _, kind := range []EngineKind{EngineRsonpath, EngineSurfer, EngineDOM} {
+	for _, kind := range []EngineKind{EngineRsonpath, EngineDOM} {
 		q, err := Compile("$.a.b.c.d", WithEngine(kind), WithMaxDepth(3))
 		if err != nil {
 			t.Fatalf("[%v] compile: %v", kind, err)

@@ -6,7 +6,6 @@ import (
 	"rsonpath/internal/classifier"
 	"rsonpath/internal/engine"
 	"rsonpath/internal/input"
-	"rsonpath/internal/planner"
 	"rsonpath/internal/supervisor"
 )
 
@@ -76,7 +75,7 @@ func (d *IndexedDocument) Footprint() int {
 // RunIndexed is Run over a pre-indexed document: matches are identical to
 // Run(doc.Bytes(), emit) on well-formed input, but the classification work
 // is served from the index. The speedup accrues to EngineRsonpath (the
-// default); the baseline engines have no classification stream to feed, so
+// default); the other engines have no classification stream to feed, so
 // for them RunIndexed falls back to a plain Run over the document bytes.
 // A query compiled WithTimeout takes the same fallback — the watchdog's
 // cancellation points live on the streaming path, which cannot consume
@@ -85,19 +84,27 @@ func (d *IndexedDocument) Footprint() int {
 // On malformed input that slipped past Index's screens the run's
 // best-effort error positions may differ from Run's; see DESIGN.md §11.
 func (q *Query) RunIndexed(doc *IndexedDocument, emit func(pos int)) error {
-	e, ok := q.run.(*engine.Engine)
-	pl := q.plan(planner.DocStats{Bytes: len(doc.data), Indexed: ok})
-	if !ok || pl.Strategy != planner.StrategyIndexed {
-		// The plan diverted to a scan: no plane surface (baseline engine), or
-		// the watchdog needs the streaming path's cancellation points.
+	e := q.planesEngine()
+	if e == nil {
 		return q.Run(doc.data, emit)
 	}
 	if err := q.limits.checkDocBytes(len(doc.data)); err != nil {
 		return err
 	}
-	return guardRun(q.kind.String(), func() error {
+	return guardRun(EngineRsonpath.String(), func() error {
 		return e.RunPlanes(doc.in, doc.planes, q.limits.limitEmit(emit))
 	})
+}
+
+// planesEngine returns the engine that serves an indexed run, or nil when
+// the plan diverts to a scan: no plane surface (another engine), or the
+// watchdog needs the streaming path's cancellation points.
+func (q *Query) planesEngine() *engine.Engine {
+	e, ok := q.run.(*engine.Engine)
+	if !ok || q.Explain(DocStats{Indexed: true}).Strategy != "indexed" {
+		return nil
+	}
+	return e
 }
 
 // RunIndexedSupervised is RunIndexed under the execution supervisor: the
@@ -107,11 +114,11 @@ func (q *Query) RunIndexed(doc *IndexedDocument, emit func(pos int)) error {
 // only once the run settles; the Outcome reports which path produced them.
 // This is the serving path for a hot document cache: the index keeps the
 // classification amortized while degradation stays observable per request.
+// Where RunIndexed falls back to a plain Run (another engine, or a
+// watchdog), this runs RunSupervised over the document bytes instead.
 func (q *Query) RunIndexedSupervised(ctx context.Context, doc *IndexedDocument, emit func(pos int)) (Outcome, error) {
-	e, ok := q.run.(*engine.Engine)
-	if !ok {
-		// No plane surface to serve from; the supervised in-memory run is the
-		// same evaluation the unsupervised fallback in RunIndexed would do.
+	e := q.planesEngine()
+	if e == nil {
 		return q.RunSupervised(ctx, doc.data, emit)
 	}
 	var buf []int
@@ -148,7 +155,7 @@ func (q *Query) MatchOffsetsIndexed(doc *IndexedDocument) ([]int, error) {
 // order and error contract as Run on well-formed input. A set compiled
 // WithTimeout falls back to a plain Run (see Query.RunIndexed).
 func (s *QuerySet) RunIndexed(doc *IndexedDocument, emit func(query, pos int)) error {
-	if pl := s.plan(planner.DocStats{Bytes: len(doc.data), Indexed: true}); pl.Strategy != planner.StrategyIndexed {
+	if s.Explain(DocStats{Indexed: true}).Strategy != "indexed" {
 		// The watchdog needs the streaming path's cancellation points; the
 		// atomic plane-backed run is unavailable.
 		return s.Run(doc.data, emit)

@@ -1,12 +1,16 @@
 package rsonpath
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"reflect"
 	"sync"
 	"testing"
 	"time"
+
+	"rsonpath/internal/classifier"
+	"rsonpath/internal/input"
 )
 
 // TestIndexedCompliance runs the whole compliance corpus through the indexed
@@ -69,8 +73,8 @@ func TestIndexRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestIndexedFallbacks pins the documented fallbacks: baseline engines and
-// queries compiled WithTimeout answer RunIndexed through a plain Run.
+// TestIndexedFallbacks pins the documented fallbacks: the other engines
+// and queries compiled WithTimeout answer RunIndexed through a plain Run.
 func TestIndexedFallbacks(t *testing.T) {
 	data := []byte(`{"a": [{"b": 1}, {"b": 2}]}`)
 	doc, err := Index(data)
@@ -78,7 +82,6 @@ func TestIndexedFallbacks(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, opts := range [][]Option{
-		{WithEngine(EngineSurfer)},
 		{WithEngine(EngineDOM)},
 		{WithTimeout(time.Minute)},
 	} {
@@ -113,6 +116,37 @@ func TestIndexedFallbacks(t *testing.T) {
 
 // TestIndexedConcurrent shares one IndexedDocument across goroutines and
 // queries; run under -race this proves the immutability claim.
+// TestIndexedWatchdogScans: under WithTimeout every indexed entry point
+// scans the document bytes, as Explain says, and none reads the planes. The
+// index here describes other bytes, so a run that read its planes would
+// fail or diverge.
+func TestIndexedWatchdogScans(t *testing.T) {
+	data := []byte(`{"b": [1, 2], "a": 3}`)
+	stale := []byte(`[{"b": 1}, [[0]], 22]`)
+	doc := &IndexedDocument{data: data, in: input.NewBytes(data), planes: classifier.BuildPlanes(stale)}
+	q := MustCompile("$.a", WithTimeout(time.Hour))
+	if p := q.Explain(DocStats{Indexed: true}); p.Strategy != "scan" || p.Rule != "watchdog-streams" {
+		t.Fatalf("plan = %+v, want the watchdog's scan", p)
+	}
+	want, err := q.MatchOffsets(data)
+	if err != nil || len(want) != 1 {
+		t.Fatalf("cold run: %v, %v", want, err)
+	}
+	got, err := q.MatchOffsetsIndexed(doc)
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("MatchOffsetsIndexed = %v, %v; want %v", got, err, want)
+	}
+	got = nil
+	oc, err := q.RunIndexedSupervised(context.Background(), doc, func(pos int) { got = append(got, pos) })
+	if err != nil || !reflect.DeepEqual(got, want) || oc.Degraded() {
+		t.Fatalf("RunIndexedSupervised = %v, %v (%+v); want %v", got, err, oc, want)
+	}
+	set := MustCompileSet([]string{"$.a"}, WithTimeout(time.Hour))
+	if counts, err := set.CountsIndexed(doc); err != nil || !reflect.DeepEqual(counts, []int{1}) {
+		t.Fatalf("QuerySet.CountsIndexed = %v, %v; want [1]", counts, err)
+	}
+}
+
 func TestIndexedConcurrent(t *testing.T) {
 	data := []byte(`{"a": [{"b": 1}, {"b": 2}], "c": {"b": 3}}`)
 	doc, err := Index(data)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"rsonpath"
+	"rsonpath/internal/engine"
 )
 
 // tiny returns a harness small enough for unit tests.
@@ -83,36 +84,35 @@ func TestRewritingsAgreeWithOriginals(t *testing.T) {
 
 func TestEnginesAgreeOnAllSpecs(t *testing.T) {
 	// Cross-engine differential test at benchmark scale: every engine that
-	// supports a query must return the same count.
+	// supports a query must return the same count as the surfer baseline.
 	h := tiny()
 	for _, s := range Specs {
 		data, err := h.Dataset(s.Dataset)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var want int
-		base, err := rsonpath.Compile(s.Query, rsonpath.WithEngine(rsonpath.EngineSurfer))
+		base, err := compileSurfer(s.Query)
 		if err != nil {
 			t.Fatalf("%s: %v", s.ID, err)
 		}
-		want, err = base.Count(data)
+		want, err := base.Count(data)
 		if err != nil {
 			t.Fatalf("%s surfer: %v", s.ID, err)
 		}
-		for _, kind := range []rsonpath.EngineKind{rsonpath.EngineRsonpath, rsonpath.EngineSki} {
-			q, err := rsonpath.Compile(s.Query, rsonpath.WithEngine(kind))
-			if err == rsonpath.ErrUnsupportedQuery {
+		for _, v := range Engines {
+			q, err := v.Compile(s.Query)
+			if Unsupported(err) {
 				continue
 			}
 			if err != nil {
-				t.Fatalf("%s %v: %v", s.ID, kind, err)
+				t.Fatalf("%s %s: %v", s.ID, v.Label, err)
 			}
 			got, err := q.Count(data)
 			if err != nil {
-				t.Fatalf("%s %v: %v", s.ID, kind, err)
+				t.Fatalf("%s %s: %v", s.ID, v.Label, err)
 			}
 			if got != want {
-				t.Errorf("%s: %v counts %d, surfer counts %d", s.ID, kind, got, want)
+				t.Errorf("%s: %s counts %d, surfer counts %d", s.ID, v.Label, got, want)
 			}
 		}
 	}
@@ -121,7 +121,7 @@ func TestEnginesAgreeOnAllSpecs(t *testing.T) {
 func TestRunSpecAndGrid(t *testing.T) {
 	h := tiny()
 	spec, _ := SpecByID("W2")
-	r, err := h.RunSpec(spec, rsonpath.EngineRsonpath)
+	r, err := h.RunSpec(spec, Engines[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,12 +130,12 @@ func TestRunSpecAndGrid(t *testing.T) {
 	}
 	// JSONSki rejects descendants: Unsupported, not an error.
 	rw, _ := SpecByID("W2r")
-	r, err = h.RunSpec(rw, rsonpath.EngineSki)
+	r, err = h.RunSpec(rw, Engines[1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Unsupported {
-		t.Fatal("ski should report W2r unsupported")
+	if r.Engine != "ski" || !r.Unsupported {
+		t.Fatalf("ski should report W2r unsupported: %+v", r)
 	}
 
 	results, err := h.RunGrid([]Spec{spec, rw})
@@ -275,25 +275,35 @@ func TestDatasetCacheAndErrors(t *testing.T) {
 	}
 }
 
-// TestVariantEngines runs the variant engine check without timing
-// anything: every stackless and ablation variant must plan the engine its
-// label names, and a mislabelled variant must be rejected.
+// TestVariantEngines runs every stackless and ablation variant without
+// timing anything: each must build the engine its label names and count
+// what the library counts.
 func TestVariantEngines(t *testing.T) {
-	for _, v := range StacklessVariants {
-		if _, err := CompileVariant(StacklessQuery, v); err != nil {
-			t.Error(err)
+	doc := []byte(`{"items": [{"DOI": "x", "affiliation": [{"name": "a"}]}, {"a": [0, [1, 2]]}]}`)
+	check := func(v Variant, query string, wantStackless bool) {
+		t.Helper()
+		c, err := v.Compile(query)
+		if err != nil {
+			t.Fatalf("%s on %s: %v", v.Label, query, err)
 		}
+		if _, ok := c.(*engine.Stackless); ok != wantStackless {
+			t.Fatalf("%s on %s built %T", v.Label, query, c)
+		}
+		got, err := c.Count(doc)
+		if err != nil {
+			t.Fatalf("%s on %s: %v", v.Label, query, err)
+		}
+		if want, err := rsonpath.MustCompile(query).Count(doc); err != nil || got != want {
+			t.Fatalf("%s on %s counts %d, library %d (%v)", v.Label, query, got, want, err)
+		}
+	}
+	for _, v := range StacklessVariants {
+		check(v, StacklessQuery, v.Label == "depth-registers")
 	}
 	for _, v := range AblationVariants {
 		for _, query := range []string{StacklessQuery, "$.items.*.DOI", "$..a.*[1]"} {
-			if _, err := CompileVariant(query, v); err != nil {
-				t.Error(err)
-			}
+			check(v, query, false)
 		}
-	}
-	mislabelled := Variant{"depth-registers", rsonpath.EngineStackless, nil}
-	if _, err := CompileVariant(StacklessQuery, mislabelled); err == nil {
-		t.Error("a variant running the default engine under a stackless label was accepted")
 	}
 }
 

@@ -9,7 +9,11 @@ import (
 	"time"
 
 	"rsonpath"
+	"rsonpath/internal/engine"
 	"rsonpath/internal/jsongen"
+	"rsonpath/internal/jsonpath"
+	"rsonpath/internal/ski"
+	"rsonpath/internal/surfer"
 )
 
 // Harness generates datasets on demand, caches them, and measures query
@@ -85,8 +89,12 @@ type Result struct {
 	Unsupported bool
 }
 
-// ErrUnsupported marks engine/query pairs outside the engine's fragment.
-var ErrUnsupported = errors.New("bench: unsupported engine/query combination")
+// Unsupported reports a compile error that marks a query outside the
+// engine's fragment: JSONSki's, or the depth-register automaton's
+// descendant-only label chains.
+func Unsupported(err error) bool {
+	return errors.Is(err, ski.ErrUnsupported) || errors.Is(err, engine.ErrNotStackless)
+}
 
 // MeasureFunc times f (which returns a match count) per the harness
 // configuration.
@@ -128,40 +136,22 @@ func (h *Harness) MeasureFunc(bytes int, f func() (int, error)) (Result, error) 
 	return res, nil
 }
 
-// RunSpec measures one query on one engine.
-func (h *Harness) RunSpec(spec Spec, kind rsonpath.EngineKind) (Result, error) {
+// RunSpec measures one query on one variant; the result is labelled with
+// the variant.
+func (h *Harness) RunSpec(spec Spec, v Variant) (Result, error) {
 	data, err := h.Dataset(spec.Dataset)
 	if err != nil {
 		return Result{}, err
 	}
-	q, err := rsonpath.Compile(spec.Query, rsonpath.WithEngine(kind))
-	if errors.Is(err, rsonpath.ErrUnsupportedQuery) {
+	c, err := v.Compile(spec.Query)
+	if Unsupported(err) {
 		return Result{ID: spec.ID, Dataset: spec.Dataset, Query: spec.Query,
-			Engine: kind.String(), Unsupported: true}, nil
+			Engine: v.Label, Unsupported: true}, nil
 	}
 	if err != nil {
 		return Result{}, err
 	}
-	res, err := h.MeasureFunc(len(data), func() (int, error) { return q.Count(data) })
-	if err != nil {
-		return Result{}, err
-	}
-	res.ID, res.Dataset, res.Query, res.Engine = spec.ID, spec.Dataset, spec.Query, kind.String()
-	return res, nil
-}
-
-// RunVariant measures one labelled variant on a spec (the ablation and
-// stackless experiments); the result is labelled with the variant.
-func (h *Harness) RunVariant(spec Spec, v Variant) (Result, error) {
-	data, err := h.Dataset(spec.Dataset)
-	if err != nil {
-		return Result{}, err
-	}
-	q, err := CompileVariant(spec.Query, v)
-	if err != nil {
-		return Result{}, err
-	}
-	res, err := h.MeasureFunc(len(data), func() (int, error) { return q.Count(data) })
+	res, err := h.MeasureFunc(len(data), func() (int, error) { return c.Count(data) })
 	if err != nil {
 		return Result{}, err
 	}
@@ -169,21 +159,75 @@ func (h *Harness) RunVariant(spec Spec, v Variant) (Result, error) {
 	return res, nil
 }
 
-// Engines used across the comparative experiments.
-var Engines = []rsonpath.EngineKind{
-	rsonpath.EngineRsonpath,
-	rsonpath.EngineSki,
-	rsonpath.EngineSurfer,
+// Counter is the surface every measured engine shares: a compiled query
+// that counts its matches in a document.
+type Counter interface {
+	Count(data []byte) (int, error)
+}
+
+// Variant is one labelled engine of a comparative experiment: the label
+// its results carry and the constructor of the engine it measures.
+type Variant struct {
+	Label   string
+	Compile func(query string) (Counter, error)
+}
+
+// library compiles query with the public API's defaults: the engine as
+// shipped.
+func library(query string) (Counter, error) { return rsonpath.Compile(query) }
+
+// Engines used across the comparative experiments: the library and the
+// paper's two comparison systems (§5), which exist only here.
+var Engines = []Variant{
+	{"rsonpath", library},
+	{"ski", func(query string) (Counter, error) { return ski.CompileQuery(query) }},
+	{"surfer", compileSurfer},
+}
+
+// compileSurfer builds the JsonSurfer analogue under the library's default
+// depth limit.
+func compileSurfer(query string) (Counter, error) {
+	sf, err := surfer.CompileQuery(query)
+	if err != nil {
+		return nil, err
+	}
+	sf.LimitDepth(rsonpath.DefaultMaxDepth)
+	return sf, nil
+}
+
+// compileStackless builds the depth-register automaton of §3.2 under the
+// library's default depth limit.
+func compileStackless(query string) (Counter, error) {
+	parsed, err := jsonpath.Parse(query)
+	if err != nil {
+		return nil, err
+	}
+	sl, err := engine.NewStackless(parsed)
+	if err != nil {
+		return nil, err
+	}
+	sl.LimitDepth(rsonpath.DefaultMaxDepth)
+	return sl, nil
+}
+
+// accelerated is the variant labelled label that runs the accelerated
+// engine with the given skipping toggles, under the library's default
+// depth limit.
+func accelerated(label string, opts engine.Options) Variant {
+	opts.MaxDepth = rsonpath.DefaultMaxDepth
+	return Variant{label, func(query string) (Counter, error) {
+		return engine.CompileQuery(query, opts)
+	}}
 }
 
 // RunGrid measures the given specs on all engines (Appendix C's grid).
 func (h *Harness) RunGrid(specs []Spec) ([]Result, error) {
 	var out []Result
 	for _, spec := range specs {
-		for _, kind := range Engines {
-			r, err := h.RunSpec(spec, kind)
+		for _, v := range Engines {
+			r, err := h.RunSpec(spec, v)
 			if err != nil {
-				return nil, fmt.Errorf("%s on %s: %w", spec.ID, kind, err)
+				return nil, fmt.Errorf("%s on %s: %w", spec.ID, v.Label, err)
 			}
 			out = append(out, r)
 		}
@@ -220,30 +264,6 @@ func (h *Harness) RunScalability(factors []float64) ([]ScalabilityPoint, error) 
 	return out, nil
 }
 
-// Variant is one labelled configuration of a comparative experiment, and
-// the engine its label claims to measure.
-type Variant struct {
-	Label  string
-	Engine rsonpath.EngineKind
-	Opts   []rsonpath.Option
-}
-
-// CompileVariant compiles query under v's options and fails when the plan
-// of a cold run names an engine other than v.Engine — the guard that keeps
-// an experiment from silently measuring the wrong engine under the right
-// label.
-func CompileVariant(query string, v Variant) (*rsonpath.Query, error) {
-	q, err := rsonpath.Compile(query, v.Opts...)
-	if err != nil {
-		return nil, err
-	}
-	if got := q.Explain(rsonpath.DocStats{}).Engine; got != v.Engine {
-		return nil, fmt.Errorf("variant %s of %s runs engine %s, but its label names %s",
-			v.Label, query, got, v.Engine)
-	}
-	return q, nil
-}
-
 // StacklessQuery is the descendant-only chain the §3.2 comparison runs.
 const StacklessQuery = "$..affiliation..name"
 
@@ -251,11 +271,9 @@ const StacklessQuery = "$..affiliation..name"
 // (head-skip + depth-stack), the pure depth-stack simulation (head-skip
 // off), and the depth-register automaton.
 var StacklessVariants = []Variant{
-	{"engine", rsonpath.EngineRsonpath, nil},
-	{"depth-stack-only", rsonpath.EngineRsonpath,
-		[]rsonpath.Option{rsonpath.WithOptimizations(rsonpath.Optimizations{NoHeadSkip: true})}},
-	{"depth-registers", rsonpath.EngineStackless,
-		[]rsonpath.Option{rsonpath.WithEngine(rsonpath.EngineStackless)}},
+	accelerated("engine", engine.Options{}),
+	accelerated("depth-stack-only", engine.Options{DisableHeadSkip: true}),
+	{"depth-registers", compileStackless},
 }
 
 // RunStackless compares the StacklessVariants on StacklessQuery.
@@ -263,7 +281,7 @@ func (h *Harness) RunStackless() ([]Result, error) {
 	spec := Spec{ID: "S2", Dataset: "crossref", Query: StacklessQuery}
 	var out []Result
 	for _, v := range StacklessVariants {
-		res, err := h.RunVariant(spec, v)
+		res, err := h.RunSpec(spec, v)
 		if err != nil {
 			return nil, err
 		}
@@ -296,23 +314,17 @@ func (h *Harness) RunTable3() ([]Table3Row, error) {
 	return out, nil
 }
 
-// ablation is one AblationVariants entry: the accelerated engine with the
-// given skipping toggles.
-func ablation(label string, opt rsonpath.Optimizations) Variant {
-	return Variant{label, rsonpath.EngineRsonpath, []rsonpath.Option{rsonpath.WithOptimizations(opt)}}
-}
-
 // AblationVariants are the engine configurations of the ablation study.
 var AblationVariants = []Variant{
-	ablation("full", rsonpath.Optimizations{}),
-	ablation("no-headskip", rsonpath.Optimizations{NoHeadSkip: true}),
-	ablation("no-skip-children", rsonpath.Optimizations{NoSkipChildren: true}),
-	ablation("no-skip-siblings", rsonpath.Optimizations{NoSkipSiblings: true}),
-	ablation("no-skip-leaves", rsonpath.Optimizations{NoSkipLeaves: true}),
-	ablation("no-skipping", rsonpath.Optimizations{
-		NoHeadSkip: true, NoSkipChildren: true, NoSkipSiblings: true, NoSkipLeaves: true,
+	accelerated("full", engine.Options{}),
+	accelerated("no-headskip", engine.Options{DisableHeadSkip: true}),
+	accelerated("no-skip-children", engine.Options{DisableSkipChildren: true}),
+	accelerated("no-skip-siblings", engine.Options{DisableSkipSiblings: true}),
+	accelerated("no-skip-leaves", engine.Options{DisableSkipLeaves: true}),
+	accelerated("no-skipping", engine.Options{
+		DisableHeadSkip: true, DisableSkipChildren: true, DisableSkipSiblings: true, DisableSkipLeaves: true,
 	}),
-	ablation("+tail-skip", rsonpath.Optimizations{TailSkip: true}),
+	accelerated("+tail-skip", engine.Options{EnableTailSkip: true}),
 }
 
 // RunAblation measures the accelerated engine's variants on the given
@@ -321,7 +333,7 @@ func (h *Harness) RunAblation(specs []Spec) ([]Result, error) {
 	var out []Result
 	for _, spec := range specs {
 		for _, v := range AblationVariants {
-			r, err := h.RunVariant(spec, v)
+			r, err := h.RunSpec(spec, v)
 			if err != nil {
 				return nil, fmt.Errorf("%s (%s): %w", spec.ID, v.Label, err)
 			}

@@ -114,8 +114,15 @@ func (h *Harness) timeWorkload(f func() error) (float64, error) {
 	return best, nil
 }
 
+// plannerScans are the forced cold scans, one per engine.
+var plannerScans = []Variant{
+	{"scan-rsonpath", library},
+	{"scan-surfer", compileSurfer},
+	{"scan-stackless", compileStackless},
+}
+
 // scanWorkload is Repeats cold runs of q over data.
-func scanWorkload(q *rsonpath.Query, data []byte, repeats int) func() error {
+func scanWorkload(q Counter, data []byte, repeats int) func() error {
 	return func() error {
 		for i := 0; i < repeats; i++ {
 			if _, err := q.Count(data); err != nil {
@@ -160,7 +167,7 @@ func (h *Harness) RunPlanner() (PlannerReport, error) {
 		if err != nil {
 			return rep, fmt.Errorf("planner %s: %w", c.Name, err)
 		}
-		pl := auto.Explain(rsonpath.DocStats{Bytes: len(data), ExpectedRuns: c.Repeats})
+		pl := auto.Explain(rsonpath.DocStats{ExpectedRuns: c.Repeats})
 		res.Strategy, res.Rule = pl.Strategy, pl.Rule
 		autoRun := scanWorkload(auto, data, c.Repeats)
 		if pl.Strategy == "indexed" {
@@ -176,18 +183,16 @@ func (h *Harness) RunPlanner() (PlannerReport, error) {
 			run   func() error
 		}
 		var alts []forced
-		for _, kind := range []rsonpath.EngineKind{rsonpath.EngineRsonpath,
-			rsonpath.EngineSurfer, rsonpath.EngineStackless} {
-			q, err := rsonpath.Compile(c.Query, rsonpath.WithEngine(kind))
-			if err == rsonpath.ErrUnsupportedQuery {
-				res.Forced = append(res.Forced,
-					PlannerForced{Label: "scan-" + kind.String(), Unsupported: true})
+		for _, v := range plannerScans {
+			q, err := v.Compile(c.Query)
+			if Unsupported(err) {
+				res.Forced = append(res.Forced, PlannerForced{Label: v.Label, Unsupported: true})
 				continue
 			}
 			if err != nil {
-				return rep, fmt.Errorf("planner %s (%v): %w", c.Name, kind, err)
+				return rep, fmt.Errorf("planner %s (%s): %w", c.Name, v.Label, err)
 			}
-			alts = append(alts, forced{"scan-" + kind.String(), scanWorkload(q, data, c.Repeats)})
+			alts = append(alts, forced{v.Label, scanWorkload(q, data, c.Repeats)})
 		}
 		alts = append(alts, forced{"index-always", indexWorkload(auto, data, c.Repeats)})
 

@@ -7,20 +7,16 @@ import (
 	"sync"
 
 	"rsonpath"
-	"rsonpath/internal/planner"
 )
 
 // docCache is the daemon's classify-once-query-many layer: an LRU of
 // rsonpath.IndexedDocument keyed by the SHA-256 of the document bytes. A
-// document is only counted until the execution planner predicts the index
-// build amortizes (building costs one classification sweep plus ~78% of
-// the document in mask planes and their bracket-excess summary, which
-// BENCH_swar.json shows repays itself within a few queries — counting
-// first keeps one-shot documents from churning the cache); once a document
-// proves hot the index is built and every later request with the same
-// bytes serves its classification from the planes. The promotion decision
-// is the planner's PredictRuns/ShouldIndex pair — the same rule library
-// callers get from Query.Explain — which promotes on the second sighting.
+// document is only counted until its promoteSightings-th sighting (building
+// costs one classification sweep plus ~78% of the document in mask planes
+// and their bracket-excess summary, which BENCH_swar.json shows repays
+// itself within a few queries — counting first keeps one-shot documents
+// from churning the cache); then the index is built and every later
+// request with the same bytes serves its classification from the planes.
 //
 // The cache is bounded two ways: by entry count (promoted and counting
 // entries alike — the map and list nodes are the cost being bounded) and by
@@ -101,17 +97,10 @@ func (c *docCache) lookup(doc []byte) (idx *rsonpath.IndexedDocument, built bool
 	return e.idx, e.idx != nil
 }
 
-// shouldPromote is the promotion decision, the planner's amortization
-// prediction: sightings so far → predicted future runs → build when the
-// build is predicted to repay itself.
-func (c *docCache) shouldPromote(e *docEntry) bool {
-	if e.seen < 0 {
-		return false // pinned unpromotable (a failed build)
-	}
-	return planner.ShouldIndex(planner.DocStats{
-		ExpectedRuns: planner.PredictRuns(e.seen),
-	})
-}
+// promoteSightings is the sighting at which a document's index is built: a
+// document seen twice is predicted to be seen again (Zipfian request
+// mixes), often enough to repay the build.
+const promoteSightings = 2
 
 // maybePromote builds the index once promotion is decided. A failed build
 // (input the index screens reject) leaves the entry as a counter pinned
@@ -119,7 +108,7 @@ func (c *docCache) shouldPromote(e *docEntry) bool {
 // request; the request itself proceeds un-indexed and gets the engine's own
 // (better-positioned) malformed error.
 func (c *docCache) maybePromote(e *docEntry, doc []byte) {
-	if e.idx != nil || !c.shouldPromote(e) {
+	if e.idx != nil || e.seen < promoteSightings {
 		return
 	}
 	idx, err := rsonpath.Index(bytes.Clone(doc))

@@ -55,9 +55,9 @@ type queryResponse struct {
 	// DocumentCache reports how the document-index cache served this
 	// request: "hit", "built", "cold", or "off".
 	DocumentCache string `json:"document_cache,omitempty"`
-	// Plan is the execution-plan strategy the planner chose for this
-	// request ("scan", "indexed", ...), with the rule that chose it in
-	// PlanRule; see rsonpath.Query.Explain.
+	// Plan is the execution plan's strategy for this request ("scan" or
+	// "indexed"), with the rule that chose it in PlanRule; see
+	// rsonpath.Query.Explain.
 	Plan     string `json:"plan,omitempty"`
 	PlanRule string `json:"plan_rule,omitempty"`
 }
@@ -318,7 +318,7 @@ func (s *Server) serveSingle(w http.ResponseWriter, r *http.Request, req *queryR
 	// One planning decision drives the dispatch, the response's plan field,
 	// and the per-strategy counters — the same Explain a library caller
 	// would consult.
-	pl := q.Explain(rsonpath.DocStats{Bytes: len(doc), Indexed: idx != nil})
+	pl := q.Explain(rsonpath.DocStats{Indexed: idx != nil})
 	s.met.notePlan(pl.Strategy)
 
 	var offsets []int
@@ -380,7 +380,7 @@ func (s *Server) serveSet(w http.ResponseWriter, r *http.Request, req *queryRequ
 	defer cancel()
 
 	doc := []byte(req.Document)
-	pl := set.Explain(rsonpath.DocStats{Bytes: len(doc)})
+	pl := set.Explain(rsonpath.DocStats{})
 	s.met.notePlan(pl.Strategy)
 	perQuery := make([][]int, set.Len())
 	oc, err := set.RunSupervised(ctx, doc, func(query, pos int) {

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"rsonpath/internal/planner"
 	"rsonpath/internal/simd"
 )
 
@@ -43,20 +42,20 @@ type metrics struct {
 	admShedTooBig   atomic.Int64 // larger than the whole bytes budget (413)
 	errOverload     atomic.Int64 // 429s written
 
-	// planRuns counts served runs per execution-plan strategy, indexed like
-	// planner.Strategies; notePlan resolves the strategy name the handlers
-	// see on the public Plan.
-	planRuns [planner.NumStrategies]atomic.Int64
+	// planScan and planIndexed count served runs per execution-plan
+	// strategy. The daemon pins no engine, so these are the only two.
+	planScan    atomic.Int64
+	planIndexed atomic.Int64
 }
 
-// notePlan counts one served run of the named strategy. Unknown names (a
+// notePlan counts one served run of the named strategy. Other names (a
 // test fake's invented strategy) are dropped rather than miscounted.
 func (m *metrics) notePlan(strategy string) {
-	for i, s := range planner.Strategies {
-		if s.String() == strategy {
-			m.planRuns[i].Add(1)
-			return
-		}
+	switch strategy {
+	case "scan":
+		m.planScan.Add(1)
+	case "indexed":
+		m.planIndexed.Add(1)
 	}
 }
 
@@ -109,9 +108,8 @@ func (m *metrics) render(w io.Writer, cache cacheGauges, docs docGauges, adm adm
 	p("rsonpathd_breaker_state", "gauge", int64(adm.breakerState))
 	p("rsonpathd_breaker_opens_total", "counter", adm.breakerOpens)
 	p("rsonpathd_goroutines", "gauge", int64(runtime.NumGoroutine()))
-	for i, s := range planner.Strategies {
-		p("rsonpathd_plan_"+s.String()+"_total", "counter", m.planRuns[i].Load())
-	}
+	p("rsonpathd_plan_scan_total", "counter", m.planScan.Load())
+	p("rsonpathd_plan_indexed_total", "counter", m.planIndexed.Load())
 	fmt.Fprintf(w, "# TYPE rsonpathd_request_duration_seconds_sum counter\nrsonpathd_request_duration_seconds_sum %g\n",
 		time.Duration(m.durationNs.Load()).Seconds())
 	fmt.Fprintf(w, "# TYPE rsonpathd_request_duration_seconds_count counter\nrsonpathd_request_duration_seconds_count %d\n",

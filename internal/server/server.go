@@ -52,9 +52,8 @@ type Config struct {
 	// rsonpath.DefaultQueryCacheSize.
 	QueryCacheSize int
 	// DocCacheSize bounds the indexed-document LRU by entry count; 0
-	// disables document caching. A document's mask index is built when the
-	// execution planner predicts the build amortizes (planner.PredictRuns
-	// and planner.ShouldIndex: on the second sighting).
+	// disables document caching. A document's mask index is built on its
+	// second sighting.
 	DocCacheSize int
 	// DocCacheBytes bounds the document cache by total resident bytes of
 	// promoted indexes (document copy + mask planes); <= 0 leaves only the

@@ -740,13 +740,13 @@ func TestShutdownGoroutineAccounting(t *testing.T) {
 
 // TestServePlanReporting: each response names the execution plan that
 // served it, and /metrics counts served runs per strategy. The document
-// cache's planner-driven promotion flips the plan from the cold scan to the
-// indexed path on the second sighting.
+// cache's promotion flips the plan from the cold scan to the indexed path
+// on the second sighting.
 func TestServePlanReporting(t *testing.T) {
 	_, url := startServer(t, Config{DocCacheSize: 8})
 	req := queryRequest{Query: "$.a.b", Document: json.RawMessage(`{"a": {"b": 1}}`), Mode: "count"}
 	wantPlans := []struct{ plan, rule string }{
-		{"scan", "child-skipping"},
+		{"scan", "no-index"},
 		{"indexed", "indexed-available"},
 		{"indexed", "indexed-available"},
 	}
@@ -765,7 +765,7 @@ func TestServePlanReporting(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("head-skip round: status %d", status)
 	}
-	if resp.Plan != "scan" || resp.PlanRule != "head-skip" {
+	if resp.Plan != "scan" || resp.PlanRule != "no-index" {
 		t.Fatalf("head-skip round: plan %q rule %q", resp.Plan, resp.PlanRule)
 	}
 	if n := metricValue(t, url, "rsonpathd_plan_scan_total"); n != 2 {

@@ -137,7 +137,7 @@ func (s *Server) serveSingleStream(w http.ResponseWriter, r *http.Request, req *
 	defer stop()
 
 	doc := []byte(req.Document)
-	pl := q.Explain(rsonpath.DocStats{Bytes: len(doc)})
+	pl := q.Explain(rsonpath.DocStats{})
 	s.met.notePlan(pl.Strategy)
 
 	sw := newStreamWriter(w)

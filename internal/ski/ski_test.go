@@ -1,12 +1,15 @@
 package ski
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"rsonpath/internal/dom"
+	"rsonpath/internal/errs"
 	"rsonpath/internal/jsonpath"
 )
 
@@ -213,4 +216,19 @@ func randomDoc(r *rand.Rand, keys []string, depth int) string {
 	}
 	gen(depth)
 	return b.String()
+}
+
+// TestSkiDeepNesting: the baseline has no depth limit, since its memory is
+// bounded by the query, not the document. A megabyte of '[' must still end
+// in an error, not a crash.
+func TestSkiDeepNesting(t *testing.T) {
+	e, err := CompileQuery("$.a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Matches(bytes.Repeat([]byte("["), 1<<20)); err == nil {
+		t.Fatal("accepted a megabyte of '['")
+	} else if errors.Is(err, errs.ErrLimit) {
+		t.Fatalf("hit a depth limit it has none of: %v", err)
+	}
 }

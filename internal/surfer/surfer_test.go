@@ -1,12 +1,14 @@
 package surfer
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"rsonpath/internal/dom"
+	"rsonpath/internal/errs"
 	"rsonpath/internal/jsonpath"
 )
 
@@ -163,4 +165,23 @@ func randomQuery(r *rand.Rand, labels []string) string {
 		}
 	}
 	return sb.String()
+}
+
+// TestSurferLimitDepth: LimitDepth aborts a walk deeper than the limit with
+// a typed *errs.Limit and lets a shallower one through.
+func TestSurferLimitDepth(t *testing.T) {
+	doc := []byte(`{"a": {"b": {"c": {"d": 1}}}}`)
+	e, err := CompileQuery("$.a.b.c.d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.LimitDepth(3)
+	var lim *errs.Limit
+	if _, err := e.Matches(doc); !errors.As(err, &lim) || lim.What != "depth" {
+		t.Fatalf("depth 4 under limit 3: err %v, want a depth *errs.Limit", err)
+	}
+	e.LimitDepth(8)
+	if offs, err := e.Matches(doc); err != nil || len(offs) != 1 {
+		t.Fatalf("depth 4 under limit 8: offs %v err %v", offs, err)
+	}
 }

@@ -4,37 +4,36 @@ import (
 	"fmt"
 
 	"rsonpath/internal/jsonpath"
-	"rsonpath/internal/planner"
 )
 
-// This file is the public face of the execution-plan layer (DESIGN.md
-// §13). A plan decides two things: whether the accelerated engine scans the
-// raw bytes or serves classification from an IndexedDocument, and which
-// engine WithEngine pinned. Cold runs never consult it — there is nothing
-// to decide without an index — so Decide runs only in RunIndexed and in
-// Explain. The decision rules live in internal/planner.
+// This file is the execution-plan layer (DESIGN.md §13). A plan decides two
+// things: whether the accelerated engine scans the raw bytes or serves
+// classification from an IndexedDocument, and which engine WithEngine
+// pinned. It decides from three facts the code can observe, as simdjson
+// does (Langdale & Lemire, PAPERS.md): the pinned engine, whether the query
+// head-skips, and whether WithTimeout armed the watchdog. Cold runs never
+// consult it — there is nothing to decide without an index — so decide
+// runs only in the indexed entry points and in Explain.
 
 // IndexAmortizeRuns is the repeat-run count at which building a document
-// mask index is predicted to have repaid its build (BENCH_swar.json); the
-// planner advises StrategyIndexed at or above it.
-const IndexAmortizeRuns = planner.IndexAmortizeRuns
+// mask index is predicted to have repaid its build (BENCH_swar.json: at 8
+// repeat queries the indexed path is already faster than cold runs with the
+// build included); the plan advises the index at or above it.
+const IndexAmortizeRuns = 8
 
 // DocStats carries what the caller knows about the document (and the
-// workload) at run time; the planner turns it into a strategy choice. The
-// zero value means "nothing known" and always yields a safe plan.
+// workload) at run time. The zero value means "nothing known" and always
+// yields a safe plan.
 type DocStats struct {
-	// Bytes is the document size, 0 when unknown.
+	// Bytes is the document size, 0 when unknown. No rule reads it: the
+	// plan is the same for every size.
 	Bytes int
-	// Streaming reports the document arrives through a reader and is never
-	// wholly in memory.
-	Streaming bool
 	// Indexed reports a prebuilt IndexedDocument for these bytes is in
 	// hand (RunIndexed is available).
 	Indexed bool
 	// ExpectedRuns is the predicted total number of runs this document
 	// will serve — repeat queries against the same bytes; 0 when unknown.
-	// At IndexAmortizeRuns and above the planner advises building an
-	// index.
+	// At IndexAmortizeRuns and above the plan advises building an index.
 	ExpectedRuns int
 }
 
@@ -43,13 +42,14 @@ type DocStats struct {
 // human-readable rationale. Strategy and Rule values are stable across
 // releases; Rationale wording is documentation, not API.
 type Plan struct {
-	// Strategy is the stable strategy name: "scan", "indexed",
-	// "stackless", "ski", "surfer", or "dom".
+	// Strategy is the stable strategy name: "scan", "indexed", or the
+	// pinned engine's name ("stackless", "dom").
 	Strategy string
 	// Engine is the engine kind that executes the strategy.
 	Engine EngineKind
-	// Rule identifies the decision rule that fired, e.g. "forced-engine",
-	// "indexed-available", "index-amortizes", "head-skip".
+	// Rule identifies the decision rule that fired: "forced-engine",
+	// "indexed-available", "watchdog-streams", "index-amortizes",
+	// "head-skip" or "no-index".
 	Rule string
 	// Rationale explains the decision in one sentence.
 	Rationale string
@@ -67,82 +67,45 @@ func (p Plan) String() string {
 // (Index) and switch to RunIndexed. The output is deterministic: the same
 // query and stats always produce the same plan.
 func (q *Query) Explain(stats DocStats) Plan {
-	return publicPlan(q.plan(stats.internal()))
+	return decide(q.kind, q.headSkip, q.sup.timeout > 0, stats)
 }
 
-// internal converts the public stats to the planner's.
-func (d DocStats) internal() planner.DocStats {
-	return planner.DocStats{
-		Bytes:        d.Bytes,
-		Streaming:    d.Streaming,
-		Indexed:      d.Indexed,
-		ExpectedRuns: d.ExpectedRuns,
+// decide is the one planning decision behind Explain and every indexed
+// entry point. Each branch is one rule; a plan that names no Engine runs
+// EngineRsonpath, the zero EngineKind.
+func decide(kind EngineKind, headSkip, watchdog bool, stats DocStats) Plan {
+	switch {
+	case kind != EngineRsonpath:
+		// Only the accelerated engine can consume an index.
+		return Plan{Strategy: kind.String(), Engine: kind, Rule: "forced-engine",
+			Rationale: "engine forced by WithEngine"}
+	case stats.Indexed && watchdog:
+		return Plan{Strategy: "scan", Rule: "watchdog-streams",
+			Rationale: "watchdog deadline needs the streaming path's cancellation points; the atomic plane-backed run is unavailable"}
+	case stats.Indexed:
+		return Plan{Strategy: "indexed", Rule: "indexed-available",
+			Rationale: "classification served from the prebuilt document mask index"}
+	case watchdog || stats.ExpectedRuns < IndexAmortizeRuns:
+		return Plan{Strategy: "scan", Rule: "no-index",
+			Rationale: "no index in hand and none advised: the accelerated engine scans the raw bytes"}
+	case headSkip:
+		// The leading label declines the advice: memmem reads the raw bytes
+		// either way, so prebuilt planes never repay their build
+		// (DESIGN.md §11).
+		return Plan{Strategy: "scan", Rule: "head-skip",
+			Rationale: "leading descendant label: skip straight to each occurrence of the sought label"}
 	}
+	return Plan{Strategy: "indexed", Rule: "index-amortizes",
+		Rationale: fmt.Sprintf("%d expected runs over the same document repay the one-time index build (break-even ~%d)",
+			stats.ExpectedRuns, IndexAmortizeRuns)}
 }
 
-// publicPlan converts a planner decision to the public Plan.
-func publicPlan(p planner.Plan) Plan {
-	return Plan{
-		Strategy:  p.Strategy.String(),
-		Engine:    strategyEngine(p.Strategy),
-		Rule:      p.Rule,
-		Rationale: p.Rationale,
+// headSkips reports that the accelerated engine head-skips the query: its
+// first selector is a descendant with at least one concrete label.
+func headSkips(parsed *jsonpath.Query) bool {
+	if len(parsed.Selectors) == 0 {
+		return false
 	}
-}
-
-// strategyEngine maps a strategy to the engine kind that executes it.
-func strategyEngine(s planner.Strategy) EngineKind {
-	switch s {
-	case planner.StrategyStackless:
-		return EngineStackless
-	case planner.StrategySki:
-		return EngineSki
-	case planner.StrategySurfer:
-		return EngineSurfer
-	case planner.StrategyDOM:
-		return EngineDOM
-	default:
-		// scan and indexed are both the accelerated engine; indexed is the
-		// same automaton fed from precomputed masks.
-		return EngineRsonpath
-	}
-}
-
-// kindStrategy maps a configured engine kind to the strategy it pins; the
-// accelerated engine pins only the scan, which the rules may upgrade to the
-// index.
-func kindStrategy(kind EngineKind) planner.Strategy {
-	switch kind {
-	case EngineSurfer:
-		return planner.StrategySurfer
-	case EngineSki:
-		return planner.StrategySki
-	case EngineDOM:
-		return planner.StrategyDOM
-	case EngineStackless:
-		return planner.StrategyStackless
-	default:
-		return planner.StrategyScan
-	}
-}
-
-// shapeOf derives the planner's query-shape facts from the parsed query.
-// With head-skip disabled a leading descendant label is just a descendant:
-// the engine walks to it like any other, so the plan must not claim
-// head-skip.
-func shapeOf(parsed *jsonpath.Query, noHeadSkip bool) planner.Shape {
-	sh := planner.Shape{HasDescendant: parsed.HasDescendant()}
-	if len(parsed.Selectors) > 0 && !noHeadSkip {
-		first := &parsed.Selectors[0]
-		sh.LeadingDescendantLabel = first.Descendant && len(first.Labels) > 0
-	}
-	return sh
-}
-
-// plan runs the decision rules for this query over the given stats.
-func (q *Query) plan(stats planner.DocStats) planner.Plan {
-	return planner.Decide(q.shape, stats, planner.Constraints{
-		Strategy:      kindStrategy(q.kind),
-		WatchdogArmed: q.sup.timeout > 0,
-	})
+	first := &parsed.Selectors[0]
+	return first.Descendant && len(first.Labels) > 0
 }

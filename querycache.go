@@ -41,7 +41,6 @@ type cacheKey struct {
 	query     string
 	set       bool
 	kind      EngineKind
-	opt       Optimizations
 	semantics Semantics
 	window    int
 	limits    limits
@@ -59,7 +58,6 @@ func keyFor(query string, set bool, opts []Option) cacheKey {
 		query:     query,
 		set:       set,
 		kind:      c.kind,
-		opt:       c.opt,
 		semantics: c.semantics,
 		window:    c.window,
 		limits:    c.resolveLimits(),

@@ -10,7 +10,6 @@ import (
 	"rsonpath/internal/input"
 	"rsonpath/internal/jsonpath"
 	"rsonpath/internal/multiquery"
-	"rsonpath/internal/planner"
 )
 
 // setRunner is the execution surface QuerySet needs from the one-pass
@@ -47,10 +46,10 @@ type QuerySet struct {
 	limits limits
 	sup    supervision
 
-	// shape is the union shape of the member queries. The shared pass
-	// always runs the accelerated engine, so the set's plan is the
-	// scan-vs-planes choice, never an engine choice.
-	shape planner.Shape
+	// headSkip reports that every member head-skips, so the shared pass
+	// does. The pass always runs the accelerated engine, so the set's plan
+	// is the scan-vs-planes choice, never an engine choice.
+	headSkip bool
 }
 
 // CompileSet parses and compiles a set of JSONPath expressions for one-pass
@@ -86,37 +85,26 @@ func CompileSet(queries []string, opts ...Option) (*QuerySet, error) {
 	set := multiquery.New(dfas)
 	set.Limits(lim.maxDepth, lim.maxDocBytes)
 	return &QuerySet{sources: sources, parsed: parsedAll, set: set, window: c.window,
-		limits: lim, sup: c.resolveSupervision(),
-		shape: setShape(parsedAll)}, nil
+		limits: lim, sup: c.resolveSupervision(), headSkip: allHeadSkip(parsedAll)}, nil
 }
 
-// setShape is the union shape of the member queries: the shared pass can
-// head-skip only when every member starts with a descendant label, and a
-// mixed set plans like its most general member.
-func setShape(parsedAll []*jsonpath.Query) planner.Shape {
-	sh := planner.Shape{LeadingDescendantLabel: len(parsedAll) > 0}
+// allHeadSkip reports that every member head-skips: only then can the
+// shared pass head-skip.
+func allHeadSkip(parsedAll []*jsonpath.Query) bool {
 	for _, parsed := range parsedAll {
-		m := shapeOf(parsed, false)
-		sh.HasDescendant = sh.HasDescendant || m.HasDescendant
-		sh.LeadingDescendantLabel = sh.LeadingDescendantLabel && m.LeadingDescendantLabel
+		if !headSkips(parsed) {
+			return false
+		}
 	}
-	return sh
-}
-
-// plan runs the decision rules for the set over the given stats. The set's
-// engine is structurally pinned to the accelerated one-pass driver, so only
-// the watchdog and the document stats bind.
-func (s *QuerySet) plan(stats planner.DocStats) planner.Plan {
-	return planner.Decide(s.shape, stats, planner.Constraints{WatchdogArmed: s.sup.timeout > 0})
+	return len(parsedAll) > 0
 }
 
 // Explain returns the execution plan the set would follow for a run over a
 // document with the given stats; see Query.Explain. The engine is always
 // EngineRsonpath — the shared one-pass driver — so the plan varies only in
-// the scan-vs-planes choice and the rule naming the scan's dominant
-// mechanism.
+// the scan-vs-planes choice.
 func (s *QuerySet) Explain(stats DocStats) Plan {
-	return publicPlan(s.plan(stats.internal()))
+	return decide(EngineRsonpath, s.headSkip, s.sup.timeout > 0, stats)
 }
 
 // MustCompileSet is CompileSet that panics on error, for fixed query sets.

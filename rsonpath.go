@@ -11,9 +11,6 @@ import (
 	"rsonpath/internal/dom"
 	"rsonpath/internal/engine"
 	"rsonpath/internal/jsonpath"
-	"rsonpath/internal/planner"
-	"rsonpath/internal/ski"
-	"rsonpath/internal/surfer"
 )
 
 // errPathSemantics rejects PathSemantics on streaming engines: reproducing
@@ -27,12 +24,6 @@ const (
 	// EngineRsonpath is the paper's engine: batched classification, skipping,
 	// depth-stack simulation. The default.
 	EngineRsonpath EngineKind = iota
-	// EngineSurfer is the non-accelerated streaming baseline (full
-	// fragment, no skipping).
-	EngineSurfer
-	// EngineSki is the JSONSki-analogue baseline (child and array-wildcard
-	// selectors only; returns ErrUnsupportedQuery otherwise).
-	EngineSki
 	// EngineDOM parses the document into a tree and evaluates the query
 	// recursively — the reference implementation. The only engine that
 	// supports PathSemantics.
@@ -48,10 +39,6 @@ func (k EngineKind) String() string {
 	switch k {
 	case EngineRsonpath:
 		return "rsonpath"
-	case EngineSurfer:
-		return "surfer"
-	case EngineSki:
-		return "ski"
 	case EngineDOM:
 		return "dom"
 	case EngineStackless:
@@ -62,31 +49,15 @@ func (k EngineKind) String() string {
 }
 
 // ErrUnsupportedQuery is returned when a query uses selectors the chosen
-// engine cannot execute (EngineSki's fragment and EngineStackless's
-// descendant-only chains).
-var ErrUnsupportedQuery = ski.ErrUnsupported
-
-// Optimizations toggles the accelerated engine's skipping techniques
-// (§3.3 of the paper); all are enabled by default. Used by the ablation
-// benchmarks; leave untouched otherwise.
-type Optimizations struct {
-	NoHeadSkip     bool // disable skipping to the first descendant label
-	NoSkipChildren bool // disable fast-forwarding over rejected subtrees
-	NoSkipSiblings bool // disable fast-forwarding after unitary matches
-	NoSkipLeaves   bool // keep commas/colons always enabled
-	// TailSkip enables the paper's §4.5 future-work classifier: in
-	// non-initial descendant segments the engine fast-forwards to the next
-	// occurrence of the sought label within the current element. Off by
-	// default (the paper's configuration).
-	TailSkip bool
-}
+// engine cannot execute: EngineStackless runs only descendant-only label
+// chains. The returned error wraps it together with the engine's reason.
+var ErrUnsupportedQuery = errors.New("rsonpath: query uses selectors the chosen engine does not support")
 
 // Option configures Compile.
 type Option func(*config)
 
 type config struct {
 	kind      EngineKind
-	opt       Optimizations
 	semantics Semantics
 	window    int // RunReader window size; 0 = DefaultStreamWindow
 
@@ -102,19 +73,14 @@ type config struct {
 }
 
 // WithEngine selects the execution engine; EngineRsonpath is the default,
-// so WithEngine(EngineRsonpath) changes nothing. Any other engine is a
-// planner constraint (rule "forced-engine"): it runs every time, index or
-// not, since only the accelerated engine can consume an IndexedDocument.
+// so WithEngine(EngineRsonpath) changes nothing. Any other engine is pinned
+// (plan rule "forced-engine"): it runs every time, index or not, since only
+// the accelerated engine can consume an IndexedDocument.
 func WithEngine(kind EngineKind) Option {
 	return func(c *config) { c.kind = kind }
 }
 
-// WithOptimizations overrides the accelerated engine's skipping toggles.
-func WithOptimizations(o Optimizations) Option {
-	return func(c *config) { c.opt = o }
-}
-
-// runner is the common surface of the three engines.
+// runner is the common surface of the engines.
 type runner interface {
 	Run(data []byte, emit func(pos int)) error
 }
@@ -132,9 +98,9 @@ type Query struct {
 	// oracle is the DOM reference evaluator the supervisor degrades to on
 	// internal faults; nil when the query is already EngineDOM.
 	oracle *domRunner
-	// shape holds the query-shape facts the plan layer's rules consume
-	// (planner_api.go).
-	shape planner.Shape
+	// headSkip reports that the accelerated engine head-skips this query,
+	// one of the facts the plan decides from (planner_api.go).
+	headSkip bool
 }
 
 // Compile parses and compiles a JSONPath expression.
@@ -152,8 +118,7 @@ func Compile(query string, opts ...Option) (*Query, error) {
 	}
 	lim := c.resolveLimits()
 	q := &Query{source: query, parsed: parsed, kind: c.kind, window: c.window,
-		limits: lim, sup: c.resolveSupervision(),
-		shape: shapeOf(parsed, c.opt.NoHeadSkip)}
+		limits: lim, sup: c.resolveSupervision(), headSkip: headSkips(parsed)}
 	if c.kind != EngineDOM {
 		q.oracle = &domRunner{query: parsed, semantics: dom.NodeSemantics, maxDepth: lim.maxDepth}
 	}
@@ -164,42 +129,27 @@ func Compile(query string, opts ...Option) (*Query, error) {
 			sem = dom.PathSemantics
 		}
 		q.run = &domRunner{query: parsed, semantics: sem, maxDepth: lim.maxDepth}
-	case EngineSki:
-		// EngineSki is exempt from the depth limit: its recursion is bounded
-		// by the query length and its fast-forwards use O(1) memory.
-		q.run, err = ski.New(parsed)
 	case EngineStackless:
 		var sl *engine.Stackless
 		sl, err = engine.NewStackless(parsed)
 		if errors.Is(err, engine.ErrNotStackless) {
-			err = ErrUnsupportedQuery
+			err = fmt.Errorf("%w: %w", ErrUnsupportedQuery, err)
 		}
 		if err == nil {
 			sl.LimitDepth(lim.maxDepth)
 			q.run = sl
 		}
-	case EngineSurfer:
-		var dfa *automaton.DFA
-		dfa, err = automaton.Compile(parsed, automaton.Options{})
-		if err == nil {
-			sf := surfer.New(dfa)
-			sf.LimitDepth(lim.maxDepth)
-			q.run = sf
-		}
-	default:
+	case EngineRsonpath:
 		var dfa *automaton.DFA
 		dfa, err = automaton.Compile(parsed, automaton.Options{})
 		if err == nil {
 			q.run = engine.New(dfa, engine.Options{
-				DisableHeadSkip:     c.opt.NoHeadSkip,
-				DisableSkipChildren: c.opt.NoSkipChildren,
-				DisableSkipSiblings: c.opt.NoSkipSiblings,
-				DisableSkipLeaves:   c.opt.NoSkipLeaves,
-				EnableTailSkip:      c.opt.TailSkip,
-				MaxDepth:            lim.maxDepth,
-				MaxDocBytes:         lim.maxDocBytes,
+				MaxDepth:    lim.maxDepth,
+				MaxDocBytes: lim.maxDocBytes,
 			})
 		}
+	default:
+		err = fmt.Errorf("rsonpath: unknown engine %v", c.kind)
 	}
 	if err != nil {
 		return nil, err

@@ -1,8 +1,13 @@
 package rsonpath
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
+
+	"rsonpath/internal/engine"
+	"rsonpath/internal/ski"
 )
 
 const sampleDoc = `{
@@ -96,48 +101,42 @@ func TestMatchOffsetsOrdered(t *testing.T) {
 func TestEnginesAgree(t *testing.T) {
 	doc := []byte(sampleDoc)
 	for _, query := range []string{"$.store.book.*.price", "$.store.book.*.title"} {
-		baseline := MustCompile(query, WithEngine(EngineSurfer))
-		want, err := baseline.MatchOffsets(doc)
+		want, err := MustCompile(query, WithEngine(EngineDOM)).MatchOffsets(doc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, kind := range []EngineKind{EngineRsonpath, EngineSki} {
-			q, err := Compile(query, WithEngine(kind))
+		sk, err := ski.CompileQuery(query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, r := range map[string]runner{"rsonpath": MustCompile(query), "ski": sk} {
+			got, err := runOffsets(r, doc)
 			if err != nil {
-				t.Fatalf("%v: %v", kind, err)
+				t.Fatalf("%s on %s: %v", name, query, err)
 			}
-			got, err := q.MatchOffsets(doc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("%v on %s: %v, surfer %v", kind, query, got, want)
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("%v on %s: %v, surfer %v", kind, query, got, want)
-				}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%s on %s: %v, DOM %v", name, query, got, want)
 			}
 		}
 	}
 }
 
 func TestSkiRejectsDescendants(t *testing.T) {
-	if _, err := Compile("$..a", WithEngine(EngineSki)); err != ErrUnsupportedQuery {
-		t.Fatalf("err = %v, want ErrUnsupportedQuery", err)
+	if _, err := ski.CompileQuery("$..a"); !errors.Is(err, ski.ErrUnsupported) {
+		t.Fatalf("err = %v, want ski.ErrUnsupported", err)
 	}
 }
 
-func TestWithOptimizations(t *testing.T) {
-	q := MustCompile("$..price", WithOptimizations(Optimizations{
-		NoHeadSkip: true, NoSkipChildren: true, NoSkipSiblings: true, NoSkipLeaves: true,
-	}))
-	n, err := q.Count([]byte(sampleDoc))
-	if err != nil {
-		t.Fatal(err)
+// TestStacklessRejectionNamesItsFragment: a query outside the
+// depth-register fragment fails with ErrUnsupportedQuery, and the message
+// names the fragment the stackless engine does support.
+func TestStacklessRejectionNamesItsFragment(t *testing.T) {
+	_, err := Compile("$.a..b", WithEngine(EngineStackless))
+	if !errors.Is(err, ErrUnsupportedQuery) || !errors.Is(err, engine.ErrNotStackless) {
+		t.Fatalf("err = %v, want ErrUnsupportedQuery wrapping engine.ErrNotStackless", err)
 	}
-	if n != 4 {
-		t.Fatalf("Count = %d, want 4", n)
+	if msg := err.Error(); !strings.Contains(msg, "descendant-only label chain") || strings.Contains(msg, "JSONSki") {
+		t.Fatalf("err = %q, want the descendant-only chain named and no JSONSki", msg)
 	}
 }
 
@@ -151,19 +150,22 @@ func TestCompileErrors(t *testing.T) {
 }
 
 func TestQueryAccessors(t *testing.T) {
-	q := MustCompile("$['store'].book", WithEngine(EngineSurfer))
+	q := MustCompile("$['store'].book", WithEngine(EngineDOM))
 	if q.Source() != "$['store'].book" {
 		t.Error("Source mismatch")
 	}
 	if q.String() != "$.store.book" {
 		t.Errorf("String = %q", q.String())
 	}
-	if q.Engine() != EngineSurfer {
+	if q.Engine() != EngineDOM {
 		t.Error("Engine mismatch")
 	}
-	if EngineRsonpath.String() != "rsonpath" || EngineSki.String() != "ski" ||
-		EngineSurfer.String() != "surfer" || EngineKind(9).String() != "EngineKind(9)" {
+	if EngineRsonpath.String() != "rsonpath" || EngineDOM.String() != "dom" ||
+		EngineStackless.String() != "stackless" || EngineKind(9).String() != "EngineKind(9)" {
 		t.Error("EngineKind.String wrong")
+	}
+	if _, err := Compile("$.a", WithEngine(EngineKind(9))); err == nil {
+		t.Error("an unknown engine kind compiled")
 	}
 }
 
@@ -253,7 +255,10 @@ func TestConcurrentUse(t *testing.T) {
 }
 
 func TestTailSkipOption(t *testing.T) {
-	q := MustCompile("$.store..price", WithOptimizations(Optimizations{TailSkip: true}))
+	q, err := engine.CompileQuery("$.store..price", engine.Options{EnableTailSkip: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	n, err := q.Count([]byte(sampleDoc))
 	if err != nil {
 		t.Fatal(err)
@@ -285,7 +290,7 @@ func TestUTF8LabelsAndValues(t *testing.T) {
 		{"$['emoji🎉']", 1},
 		{"$..ключ", 1},
 	} {
-		for _, kind := range []EngineKind{EngineRsonpath, EngineSurfer} {
+		for _, kind := range []EngineKind{EngineRsonpath, EngineDOM} {
 			q := MustCompile(c.query, WithEngine(kind))
 			n, err := q.Count([]byte(doc))
 			if err != nil {
@@ -340,8 +345,12 @@ func TestAllEnginesAgreeOnNodeSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kind := range []EngineKind{EngineRsonpath, EngineSurfer, EngineSki} {
-		got, err := MustCompile("$.store.book.*.price", WithEngine(kind)).MatchOffsets(doc)
+	for _, kind := range []EngineKind{EngineRsonpath, EngineStackless} {
+		query := "$.store.book.*.price"
+		if kind == EngineStackless {
+			query = "$..book..price" // its fragment; the same nodes here
+		}
+		got, err := MustCompile(query, WithEngine(kind)).MatchOffsets(doc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -369,7 +378,7 @@ func TestEngineStackless(t *testing.T) {
 	if EngineStackless.String() != "stackless" {
 		t.Error("EngineStackless name")
 	}
-	if _, err := Compile("$.a..b", WithEngine(EngineStackless)); err != ErrUnsupportedQuery {
+	if _, err := Compile("$.a..b", WithEngine(EngineStackless)); !errors.Is(err, ErrUnsupportedQuery) {
 		t.Fatalf("mixed query err = %v, want ErrUnsupportedQuery", err)
 	}
 }

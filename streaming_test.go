@@ -38,7 +38,7 @@ func (r *chunkedReader) Read(p []byte) (int, error) {
 }
 
 // streamingEngines are the engines that support RunReader.
-var streamingEngines = []EngineKind{EngineRsonpath, EngineSurfer, EngineSki, EngineStackless}
+var streamingEngines = []EngineKind{EngineRsonpath, EngineStackless}
 
 // TestStreamingCompliance runs the whole compliance corpus through every
 // streaming engine twice — once in memory, once through a buffered input
@@ -52,7 +52,7 @@ func TestStreamingCompliance(t *testing.T) {
 				for _, window := range []int{64, 4096} {
 					q, err := Compile(c.query, WithEngine(kind), WithStreamWindow(window))
 					if errors.Is(err, ErrUnsupportedQuery) {
-						continue // restricted fragments (ski, stackless)
+						continue // stackless's descendant-only fragment
 					}
 					if err != nil {
 						t.Fatalf("[%v] compile: %v", kind, err)
@@ -142,7 +142,7 @@ func TestRunReaderDOMUnsupported(t *testing.T) {
 func TestRunReaderWindowDefeat(t *testing.T) {
 	// A key far larger than the 64-byte window's retention capacity.
 	doc := `{"` + strings.Repeat("k", 4096) + `": 1, "a": 2}`
-	q := MustCompile("$.a", WithEngine(EngineSurfer), WithStreamWindow(64))
+	q := MustCompile("$.a", WithStreamWindow(64))
 	err := q.RunReader(strings.NewReader(doc), func(int) {})
 	if err == nil {
 		t.Fatal("oversized key within a tiny window did not error")

@@ -72,10 +72,6 @@ func WithTimeout(d time.Duration) Option {
 // WithFallback selects the degradation-ladder mode for the supervised entry
 // points (RunSupervised, RunReaderSupervised, and the lines family). The
 // default is FallbackOnInternalError.
-//
-// Note for EngineSki: its wildcard deliberately skips object fields, so a
-// degraded run reports the oracle's (standard) answer, not ski's. Callers
-// pinning ski's restricted semantics should pass FallbackOff.
 func WithFallback(m FallbackMode) Option {
 	return func(c *config) { c.fallback = m }
 }
