@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"rsonpath/internal/jsongen"
 )
 
 // The allocation ceilings below are regression guards for the scratch pools
@@ -25,6 +27,45 @@ func allocFixtures() (*Query, *QuerySet, []byte, []byte) {
 		lines.WriteByte('\n')
 	}
 	return q, s, doc, lines.Bytes()
+}
+
+// TestCountAllocs pins the run paths' own allocations: a cold Count and a
+// CountIndexed over a 1 MiB jsongen Crossref document, for a child chain
+// with wildcards, a head-skip descendant chain, an index selector and a
+// wildcard with an index. The ceilings (4 and 3) are what these paths
+// measured before the structural cursor moved into the engine's pooled run
+// state; they measure 3 and 2 since, whatever the document's size. The
+// cursor is held by value, so nothing the event loop keeps may escape
+// into an allocation of its own.
+func TestCountAllocs(t *testing.T) {
+	p, ok := jsongen.ByName("crossref")
+	if !ok {
+		t.Fatal("no crossref profile")
+	}
+	doc := p.Generate(1<<20, 42)
+	idx, err := Index(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range []string{"$.items.*.author.*.family", "$..affiliation..name", "$.items[3].DOI", "$.items.*.title[0]"} {
+		q := MustCompile(src)
+		cold := testing.AllocsPerRun(10, func() {
+			if _, err := q.Count(doc); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if cold > 4 {
+			t.Errorf("%s: Count %.1f allocs/run, want <= 4", src, cold)
+		}
+		warm := testing.AllocsPerRun(10, func() {
+			if _, err := q.CountIndexed(idx); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if warm > 3 {
+			t.Errorf("%s: CountIndexed %.1f allocs/run, want <= 3", src, warm)
+		}
+	}
 }
 
 func TestRunReaderAllocs(t *testing.T) {

@@ -92,6 +92,55 @@ func TestCLIMalformedInput(t *testing.T) {
 	}
 }
 
+// TestCLIValuesMalformed: a matched value that ends in the wrong closer is
+// a malformed document in values mode too, with the same exit code and
+// offset as in count mode, from stdin and from a named file.
+func TestCLIValuesMalformed(t *testing.T) {
+	const doc = `{"a": [1, 2}`
+	path := filepath.Join(t.TempDir(), "f.json")
+	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"$.a"},
+		{"$.a", path},
+		{"-count", "$.a", path},
+		{"-engine", "dom", "$.a", path},
+	} {
+		code, _, stderr := cli(t, doc, args...)
+		if code != exitMalformed || !strings.Contains(stderr, "at offset 11") {
+			t.Fatalf("%v: code %d stderr %q, want %d naming offset 11", args, code, stderr, exitMalformed)
+		}
+	}
+}
+
+// TestCLIErrorPrefixOnce: every error line names the tool once, whether
+// the error comes from the library (which prefixes its own) or the CLI.
+func TestCLIErrorPrefixOnce(t *testing.T) {
+	for _, tc := range []struct {
+		stdin string
+		args  []string
+	}{
+		{`{"a": 1`, []string{"$..a"}},                           // malformed
+		{`{"a": 1`, []string{"-count", "$..a"}},                 // malformed, count mode
+		{`[1, 2, 3, 4]`, []string{"-max-matches", "2", "$[*]"}}, // limit
+		{`{"a": [1, 2}`, []string{"$.a"}},                       // value extraction
+		{"{}", []string{"-engine", "stackless", "$.a..b"}},      // stackless rejection
+		{"{}", []string{"$["}},                                  // query syntax
+		{"{\"a\": 1}\n{\"a\": 2\n", []string{"-lines", "$.a"}},  // bad record
+	} {
+		_, _, stderr := cli(t, tc.stdin, tc.args...)
+		if stderr == "" {
+			t.Fatalf("%v: no error printed", tc.args)
+		}
+		for _, line := range strings.Split(strings.TrimSuffix(stderr, "\n"), "\n") {
+			if !strings.HasPrefix(line, "rsonpath: ") || strings.Count(line, "rsonpath: ") != 1 {
+				t.Fatalf("%v: stderr line %q does not carry the prefix exactly once", tc.args, line)
+			}
+		}
+	}
+}
+
 func TestCLILimitExceeded(t *testing.T) {
 	code, _, stderr := cli(t, `[1, 2, 3, 4]`, "-max-matches", "2", "$[*]")
 	if code != exitLimit {

@@ -124,7 +124,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 	if *simdPick != "" {
 		if err := simd.SetBackend(*simdPick); err != nil {
-			fmt.Fprintln(stderr, "rsonpath:", err)
+			printErr(stderr, err)
 			return exitUsage
 		}
 	}
@@ -157,7 +157,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 
 	kind, err := engineKind(*engine)
 	if err != nil {
-		fmt.Fprintln(stderr, "rsonpath:", err)
+		printErr(stderr, err)
 		return exitUsage
 	}
 	opts := []rsonpath.Option{rsonpath.WithEngine(kind)}
@@ -211,7 +211,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		if *index {
 			if err := runIndexed(queries, opts, in, out, stderr, *count, *offsets, *explain); err != nil {
 				if _, bad := err.(*badQueryError); bad {
-					fmt.Fprintln(stderr, "rsonpath:", err)
+					printErr(stderr, err)
 					return exitUsage
 				}
 				return fail(stderr, err)
@@ -220,7 +220,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		}
 		set, err := rsonpath.CompileSet(queries, opts...)
 		if err != nil {
-			fmt.Fprintln(stderr, "rsonpath:", err)
+			printErr(stderr, err)
 			return exitUsage
 		}
 		if *explain {
@@ -234,7 +234,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 
 	q, err := rsonpath.Compile(queries[0], opts...)
 	if err != nil {
-		fmt.Fprintln(stderr, "rsonpath:", err)
+		printErr(stderr, err)
 		return exitUsage
 	}
 	if *explain {
@@ -281,17 +281,29 @@ func runOneSupervised(q *rsonpath.Query, path string, out *bufio.Writer, stderr 
 		fmt.Fprintln(out, n)
 	}
 	if oc.Degraded() {
-		fmt.Fprintf(stderr, "rsonpath: degraded to the %s oracle after %d attempt(s): %v\n",
-			oc.Engine, oc.Attempts, oc.FallbackReason)
+		fmt.Fprintf(stderr, "rsonpath: degraded to the %s oracle after %d attempt(s): %s\n",
+			oc.Engine, oc.Attempts, unprefixed(oc.FallbackReason))
 		return exitDegraded
 	}
 	return exitOK
 }
 
+// printErr prints err as one stderr line that carries the "rsonpath: "
+// prefix once: the library's own errors already begin with it.
+func printErr(stderr io.Writer, err error) {
+	fmt.Fprintln(stderr, "rsonpath: "+unprefixed(err))
+}
+
+// unprefixed returns err's text without the library's "rsonpath: " prefix,
+// for messages that embed it after a prefix of their own.
+func unprefixed(err error) string {
+	return strings.TrimPrefix(err.Error(), "rsonpath: ")
+}
+
 // fail prints the error and maps it to the documented exit code. The typed
 // errors carry their byte offset in the message.
 func fail(stderr io.Writer, err error) int {
-	fmt.Fprintln(stderr, "rsonpath:", err)
+	printErr(stderr, err)
 	var me *rsonpath.MalformedError
 	var le *rsonpath.LimitError
 	var ie *rsonpath.InternalError
@@ -531,7 +543,7 @@ func runLines(q *rsonpath.Query, in io.Reader, out *bufio.Writer, stderr io.Writ
 	visit := func(m rsonpath.LineMatch) error {
 		if m.Err != nil {
 			bad++
-			fmt.Fprintf(stderr, "rsonpath: line %d: %v\n", m.Line, m.Err)
+			fmt.Fprintf(stderr, "rsonpath: line %d: %s\n", m.Line, unprefixed(m.Err))
 			if c := fail(io.Discard, m.Err); code == exitOK || code == exitDegraded || c == exitMalformed {
 				code = c
 			}
@@ -539,8 +551,8 @@ func runLines(q *rsonpath.Query, in io.Reader, out *bufio.Writer, stderr io.Writ
 		}
 		if m.Outcome != nil && m.Outcome.Degraded() {
 			degraded++
-			fmt.Fprintf(stderr, "rsonpath: line %d: degraded to the %s oracle: %v\n",
-				m.Line, m.Outcome.Engine, m.Outcome.FallbackReason)
+			fmt.Fprintf(stderr, "rsonpath: line %d: degraded to the %s oracle: %s\n",
+				m.Line, m.Outcome.Engine, unprefixed(m.Outcome.FallbackReason))
 		}
 		switch {
 		case count:

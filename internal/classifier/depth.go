@@ -4,7 +4,7 @@ import "rsonpath/internal/simd"
 
 // SkipToClose is the depth classifier (§4.4). Starting at absolute offset
 // from with relative depth 1 (one unmatched open character), it
-// fast-forwards the stream to the closing character that brings the
+// fast-forwards over the window to the closing character that brings the
 // relative depth to 0 and returns its absolute position.
 //
 // The depth is tracked on the stream's bracket planes, both kinds at once:
@@ -12,9 +12,10 @@ import "rsonpath/internal/simd"
 // the open kind's pair, since subtrees of the other kind nest properly. The
 // paper's block-skip heuristic applies: when a block holds fewer closers
 // than the current depth, the depth cannot reach zero inside it, so the
-// whole block is accounted for with two popcounts. Skipped blocks are never
-// loaded: the scan walks plane words, classifying further windows as it
-// runs out, and only the landing block is materialized.
+// whole block is accounted for with two popcounts. The scan walks plane
+// words, classifying further windows as it runs out, and moves nothing
+// else: the caller resumes structural classification from the returned
+// position with Structural.Reset.
 //
 // Over whole-document planes from BuildPlanes (an indexed document) the
 // skip reads no plane word between its start and landing blocks: the
@@ -23,23 +24,36 @@ import "rsonpath/internal/simd"
 // to zero is passed with one addition. The result, verdicts included, is
 // the plane walk's.
 //
-// ok is false when the input ends before the subtree closes, or when the
-// closer reached is of the other kind than open — both prove the document
-// malformed. (Other mismatched interleavings may land elsewhere than a
-// single-kind scan would, within the best-effort contract of DESIGN.md §9.)
-// The stream is left on the block containing the returned position; the
-// caller resumes structural classification with Structural.Reset.
+// ok is false when the input ends before the subtree closes (closePos is
+// then -1), or when the closer reached is of the other kind than open
+// (closePos is that closer) — both prove the document malformed. (Other
+// mismatched interleavings may land elsewhere than a single-kind scan
+// would, within the best-effort contract of DESIGN.md §9.)
+//
+// from may precede the window when the caller's cursor peeked past it into
+// a later window: the cursor found no enabled symbol, so no bracket, in
+// between, and the scan starts at the window.
 func SkipToClose(s *Stream, from int, open byte) (closePos int, ok bool) {
-	if s.w.blockEx != nil {
-		return skipSummarized(s, from, open)
-	}
-	// from may precede the current block when the caller's iterator peeked
-	// ahead (everything at stake, in particular the sought closer, lies at
-	// or after the current block), or lie in a later block; never look
-	// before either.
 	s.settle()
-	idx := max(s.blockStart, from) / simd.BlockSize
-	skip := simd.BitsBelow(max(from-idx*simd.BlockSize, 0))
+	idx, skip := from/simd.BlockSize, simd.BitsBelow(from%simd.BlockSize)
+	if idx < s.lo {
+		idx, skip = s.lo, 0
+	}
+	var pos int
+	if s.w.blockEx != nil {
+		pos = skipSummarized(&s.w, idx, skip)
+	} else {
+		pos = skipWalk(s, idx, skip)
+	}
+	if pos < 0 {
+		return -1, false
+	}
+	return pos, s.byteAt(pos) == matchingClose(open)
+}
+
+// skipWalk is SkipToClose's plane walk, from bit skip of block idx on. It
+// returns the closer's position, or -1 at the end of input.
+func skipWalk(s *Stream, idx int, skip uint64) int {
 	depth := 1
 	for ; s.cover(idx); idx = s.hi {
 		opens, closes := s.w.Opens, s.w.Closes
@@ -61,28 +75,29 @@ func SkipToClose(s *Stream, from int, open byte) (closePos int, ok bool) {
 				depth += simd.Popcount(om & below &^ accounted)
 				accounted = below | 1<<uint(bit)
 				if depth--; depth == 0 {
-					pos := (s.lo+i)*simd.BlockSize + bit
-					s.JumpTo(pos)
-					return pos, s.block[bit] == matchingClose(open)
+					return (s.lo+i)*simd.BlockSize + bit
 				}
 			}
 			depth += simd.Popcount(om &^ accounted)
 		}
 	}
-	s.markExhausted()
-	return 0, false
+	return -1
 }
 
-// ScanToClose is a standalone form of SkipToClose for engines that keep a
-// plain byte cursor instead of a Stream (the JSONSki-analogue baseline): it
-// finds the closer matching an open character of the given kind, starting
-// at absolute offset from with relative depth 1. from must lie outside any
+// ScanToClose is a standalone form of SkipToClose over an in-memory
+// document, for callers that keep no Stream (value extraction): it finds
+// the closer matching an open character of the given kind, starting at
+// absolute offset from with relative depth 1. from must lie outside any
 // string (true for every position where a value can start), so a fresh
-// quote state is valid.
+// quote state is valid. When ok is false, closePos is the mismatched
+// closer, or len(data) when the document ends first.
 func ScanToClose(data []byte, from int, open byte) (closePos int, ok bool) {
 	s := NewStream(data[from:])
 	p, ok := SkipToClose(s, 0, open)
 	s.Release()
+	if p < 0 {
+		return len(data), false
+	}
 	return from + p, ok
 }
 

@@ -29,7 +29,7 @@ func summaryWords(n int) int { return (n+3)/4 + (n+superBlocks-1)/superBlocks }
 
 // blockExcess returns block i's net and minimum prefix excess.
 func (p *Planes) blockExcess(i int) (net, low int) {
-	w := p.blockEx[i/4] >> (16 * (i % 4))
+	w := p.blockEx[uint(i)/4] >> (16 * (uint(i) % 4))
 	return int(int8(w)), int(int8(w >> 8))
 }
 
@@ -68,25 +68,20 @@ func (p *Planes) summarize(backing []uint64) {
 	}
 }
 
-// skipSummarized is SkipToClose over planes that carry an excess summary:
-// it word-walks the start block from offset from on, as the plane walk
-// does, then passes every superblock and block whose minimum prefix excess
-// cannot close the subtree, and word-walks only the landing block. It
-// returns what the plane walk returns, verdicts included.
-func skipSummarized(s *Stream, from int, open byte) (closePos int, ok bool) {
-	s.settle()
-	idx := max(s.blockStart, from) / simd.BlockSize
-	skip := simd.BitsBelow(max(from-idx*simd.BlockSize, 0))
-	p := &s.w
+// skipSummarized is SkipToClose's walk over planes that carry an excess
+// summary, from bit skip of block idx on: it word-walks the start block, as
+// the plane walk does, then passes every superblock and block whose minimum
+// prefix excess cannot close the subtree, and word-walks only the landing
+// block. It returns the closer's position, or -1 at the end of input, as
+// the plane walk does.
+func skipSummarized(p *Planes, idx int, skip uint64) int {
 	if idx >= len(p.Opens) {
-		s.markExhausted()
-		return 0, false
+		return -1
 	}
 	bit, depth := closeWithin(p.Opens[idx]&^skip, p.Closes[idx]&^skip, 1)
 	for bit < 0 {
 		if idx++; idx >= len(p.Opens) {
-			s.markExhausted()
-			return 0, false
+			return -1
 		}
 		if idx%superBlocks == 0 {
 			if net, low := p.superExcess(idx / superBlocks); depth+low > 0 {
@@ -101,16 +96,14 @@ func skipSummarized(s *Stream, from int, open byte) (closePos int, ok bool) {
 		}
 		bit, depth = closeWithin(p.Opens[idx], p.Closes[idx], depth)
 	}
-	pos := idx*simd.BlockSize + bit
-	s.JumpTo(pos)
-	return pos, s.block[bit] == matchingClose(open)
+	return idx*simd.BlockSize + bit
 }
 
 // closeWithin walks one block's bracket words, entered at relative depth
 // depth, and returns the bit of the closer that brings the depth to zero;
-// or -1 and the depth at the block's end. SkipToClose's plane walk keeps
-// its own inline copy of this loop, so that the cold path compiles as it
-// did before the summary existed.
+// or -1 and the depth at the block's end. The cold plane walk (skipWalk)
+// keeps its own inline copy of this loop, so that it compiles as it did
+// before the summary existed.
 func closeWithin(om, cm uint64, depth int) (int, int) {
 	accounted := uint64(0)
 	for ; cm != 0; cm = simd.ClearLowest(cm) {

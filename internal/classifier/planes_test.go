@@ -51,23 +51,31 @@ func checkPlanesEquivalence(t *testing.T, data []byte, in input.Input, label str
 	}
 }
 
-// checkStreamBlock asserts that the stream's current block masks equal the
-// planes' word for that block, and that the symbol planes equal the
-// per-block kernels over the block's bytes with in-string positions masked.
+// checkStreamBlock asserts that the window words of the stream's viewed
+// block equal the planes' words for that block, and that the symbol planes
+// equal the per-block kernels over the block's bytes with in-string
+// positions masked.
 func checkStreamBlock(t *testing.T, s *Stream, p *Planes, label string) {
 	t.Helper()
 	idx := s.BlockStart() / simd.BlockSize
-	if s.quoteMask != p.Quote[idx] || s.inString != p.InString[idx] {
+	i := s.viewed()
+	if i < 0 {
+		t.Fatalf("%s block %d: the window [%d, %d) does not hold the viewed block", label, idx, s.lo, s.hi)
+	}
+	if s.QuoteMask() != p.Quote[idx] || s.InString() != p.InString[idx] {
 		t.Fatalf("%s block %d: stream quote=%#x inString=%#x, planes quote=%#x inString=%#x",
-			label, idx, s.quoteMask, s.inString, p.Quote[idx], p.InString[idx])
+			label, idx, s.QuoteMask(), s.InString(), p.Quote[idx], p.InString[idx])
 	}
-	if s.braces != p.Opens[idx]|p.Closes[idx] || s.commaM != p.Commas[idx] || s.colonM != p.Colons[idx] {
-		t.Fatalf("%s block %d: stream symbol masks diverge from the planes", label, idx)
+	w := &s.w
+	if w.Opens[i] != p.Opens[idx] || w.Closes[i] != p.Closes[idx] ||
+		w.Commas[i] != p.Commas[idx] || w.Colons[i] != p.Colons[idx] {
+		t.Fatalf("%s block %d: stream symbol words diverge from the planes", label, idx)
 	}
-	opens, closes := simd.BracketMasks(s.block)
-	commas := simd.CmpEq8(s.block, ',')
-	colons := simd.CmpEq8(s.block, ':')
-	notStr := ^s.inString
+	block := s.Block()
+	opens, closes := simd.BracketMasks(block)
+	commas := simd.CmpEq8(block, ',')
+	colons := simd.CmpEq8(block, ':')
+	notStr := ^p.InString[idx]
 	if p.Opens[idx] != opens&notStr || p.Closes[idx] != closes&notStr ||
 		p.Commas[idx] != commas&notStr || p.Colons[idx] != colons&notStr {
 		t.Fatalf("%s block %d: symbol planes diverge from per-block masks", label, idx)

@@ -46,9 +46,9 @@ func streamMasks(data []byte) (quotes, inString []bool) {
 	quotes = make([]bool, len(data))
 	inString = make([]bool, len(data))
 	s := NewStream(data)
-	for {
+	for !s.Exhausted() {
 		base := s.BlockStart()
-		for i := 0; i < s.blockLen; i++ {
+		for i := 0; i < min(simd.BlockSize, len(data)-base); i++ {
 			quotes[base+i] = s.QuoteMask()>>uint(i)&1 == 1
 			inString[base+i] = s.InString()>>uint(i)&1 == 1
 		}
@@ -135,8 +135,8 @@ func TestQuoteClassifierPathologicalEscapes(t *testing.T) {
 
 func TestStreamAdvanceBounds(t *testing.T) {
 	s := NewStream([]byte(`{}`))
-	if s.BlockStart() != 0 || s.blockLen != 2 {
-		t.Fatalf("initial block: start=%d len=%d", s.BlockStart(), s.blockLen)
+	if s.BlockStart() != 0 || s.Exhausted() {
+		t.Fatalf("initial block: start=%d exhausted=%v", s.BlockStart(), s.Exhausted())
 	}
 	if s.Advance() {
 		t.Fatal("Advance past single block should report false")

@@ -1,6 +1,7 @@
 package classifier
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -36,7 +37,7 @@ var streamPool = sync.Pool{New: func() any { return new(Stream) }}
 // acquire returns a pooled Stream over in, keeping its window storage.
 func acquire(in input.Input) *Stream {
 	s := streamPool.Get().(*Stream)
-	*s = Stream{in: in, words: s.words}
+	*s = Stream{in: in, data: input.Contiguous(in), words: s.words}
 	return s
 }
 
@@ -52,27 +53,25 @@ func acquire(in input.Input) *Stream {
 // classifier first needs masks past it — carrying the quote state from one
 // window into the next; a stream over a prebuilt Planes (NewStreamPlanes)
 // has a single window covering the whole document. Either way every
-// classifier reads plane words, and repositioning within the window is O(1).
+// classifier reads plane words straight from the window: the structural
+// cursor (Structural) one block's symbol words at a time, the depth
+// classifier and the label seekers as many words as they pass. Each keeps
+// its own position; the Stream only keeps the window.
 //
-// A Stream only moves forward, pulling padded blocks from an input.Input —
-// zero-copy over in-memory documents, window-bounded over readers. The
-// current block's bytes and masks are exposed to the structural
-// classifier, the depth classifier and the label seeker; each of them
-// tracks its own within-block cursor.
+// A Stream only moves forward, pulling bytes from an input.Input —
+// zero-copy over in-memory documents, window-bounded over readers.
+//
+// Beside the window, a Stream keeps a block view for callers that walk the
+// classified blocks themselves (kernel benchmarks, the classifier's tests):
+// Advance and JumpTo move it, and Block, QuoteMask and InString read the
+// block it is on. The cursor and the skips never move it.
 type Stream struct {
-	in         input.Input
-	blockStart int         // absolute offset of the current block
-	blockLen   int         // number of real (non-padding) bytes in the block
-	block      *simd.Block // the current padded block (owned by the input)
-	exhausted  bool
+	in   input.Input
+	data []byte // the whole document when in holds it in memory, else nil
 
-	// The current block's masks, cached when the stream moves so they stay
-	// valid however far a depth or label scan later runs the window ahead.
-	quoteMask uint64 // unescaped quotes
-	inString  uint64 // in-string positions
-	braces    uint64 // opening and closing brackets outside strings
-	commaM    uint64 // commas outside strings
-	colonM    uint64 // colons outside strings
+	// The block view.
+	blockStart int // absolute offset of the viewed block
+	exhausted  bool
 
 	// The classified window: w's planes hold the masks of blocks [lo, hi),
 	// word i-lo for block i. carry is the quote state at the end of block
@@ -92,11 +91,12 @@ type Stream struct {
 	words []uint64
 	tail  simd.Block
 
-	// pending marks a jump landing not classified yet: the stream sits on
-	// the block at blockStart, and anchor is the jump's target, from which
-	// settle reconstructs the quote state once masks are first needed. A
-	// head-skip landing on a leaf value never needs them.
+	// pending marks a jump landing not classified yet: the next window
+	// starts on the block at landing, and anchor is the jump's target, from
+	// which settle reconstructs the quote state once masks are first
+	// needed. A head-skip landing on a leaf value never needs them.
 	pending bool
+	landing int
 	anchor  int
 
 	// seekTailInString records, after a label seek that reached the end of
@@ -125,7 +125,9 @@ func NewStreamPlanes(in input.Input, p *Planes) *Stream {
 	passes.Add(1)
 	s := acquire(in)
 	s.w, s.hi, s.end = *p, p.Blocks(), true
-	s.load(0)
+	if s.hi == 0 {
+		s.markExhausted()
+	}
 	return s
 }
 
@@ -146,8 +148,9 @@ func newStream(in input.Input, pos int) *Stream {
 	if w := in.Window() / simd.BlockSize; w > 0 {
 		s.limit = min(w, maxWindow)
 	}
-	s.blockStart, s.anchor = pos-pos%simd.BlockSize, pos
-	s.land()
+	s.blockStart = pos - pos%simd.BlockSize
+	s.pending, s.landing, s.anchor = true, pos/simd.BlockSize, pos
+	s.settle()
 	return s
 }
 
@@ -195,75 +198,33 @@ func (s *Stream) cover(idx int) bool {
 	return true
 }
 
-// load positions the stream on block idx, which the window covers unless
-// idx lies past the end of input.
-func (s *Stream) load(idx int) {
-	s.blockStart = idx * simd.BlockSize
-	s.block, s.blockLen = s.in.Block(idx)
-	s.exhausted, s.pending = false, false
-	if i := idx - s.lo; i >= 0 && i < len(s.w.Quote) {
-		s.quoteMask, s.inString = s.w.Quote[i], s.w.InString[i]
-		s.braces = s.w.Opens[i] | s.w.Closes[i]
-		s.commaM, s.colonM = s.w.Commas[i], s.w.Colons[i]
-	} else {
-		s.quoteMask, s.inString, s.braces, s.commaM, s.colonM = 0, 0, 0, 0, 0
-	}
-	if s.blockLen == 0 {
-		s.markExhausted()
-	}
-}
-
-// moveTo moves the stream forward to block idx, classifying sequentially so
-// the quote state stays exact. It reports false when idx lies past the end
-// of input.
-func (s *Stream) moveTo(idx int) bool {
-	s.cover(idx)
-	s.load(idx)
-	return !s.exhausted
-}
-
-// markExhausted records the end of input. The document length is always
-// known by the time the end is observed.
+// markExhausted records that the block view has passed the end of input.
+// The document length is always known by the time the end is observed.
 func (s *Stream) markExhausted() {
 	s.exhausted = true
 	if n := s.in.Len(); n >= 0 {
 		s.blockStart = n
 	}
-	s.blockLen = 0
 }
 
-// Advance moves to the next block. It reports false when the input is
-// exhausted; the current block's bytes stay valid (inputs double-buffer, so
-// probing the next block never invalidates the current one).
-func (s *Stream) Advance() bool {
-	s.settle()
-	if s.exhausted || s.blockLen < simd.BlockSize {
-		// A partial block is always the final one.
-		s.markExhausted()
-		return false
-	}
-	return s.moveTo(s.blockStart/simd.BlockSize + 1)
-}
-
-// JumpTo repositions the stream onto the block containing pos. pos must be
-// outside any string and not escaped. Within the classified window (or just
-// past it) the move is a lookup, or a sequential refill. A landing further
-// away — a head-skip seek hit — skips the classification of every block in
-// between: the stream only records the anchor, and settle later
-// reconstructs the quote state at the block's start from it, by scanning
-// the at most BlockSize-1 bytes before pos, and starts a new small window
-// there.
+// JumpTo moves the block view onto the block containing pos, and makes pos
+// the point from which the window continues. pos must be outside any
+// string and not escaped. Within the classified window, or just past it,
+// the window continues sequentially. A landing further away — a head-skip
+// seek hit — skips the classification of every block in between: the
+// stream only records the anchor, and settle later reconstructs the quote
+// state at the block's start from it, by scanning the at most BlockSize-1
+// bytes before pos, and starts a new small window there.
 func (s *Stream) JumpTo(pos int) {
 	idx := pos / simd.BlockSize
-	if idx*simd.BlockSize == s.blockStart && !s.exhausted {
+	s.blockStart, s.exhausted = idx*simd.BlockSize, false
+	if s.pending || idx < s.lo || idx > s.hi && !s.end {
+		s.pending, s.landing, s.anchor = true, idx, pos
 		return
 	}
-	if idx < s.lo || idx > s.hi && !s.end {
-		s.blockStart, s.anchor = idx*simd.BlockSize, pos
-		s.exhausted, s.pending = false, true
-		return
+	if !s.cover(idx) {
+		s.markExhausted()
 	}
-	s.moveTo(idx)
 }
 
 // settle classifies the window at a pending jump landing, if any.
@@ -273,40 +234,126 @@ func (s *Stream) settle() {
 	}
 }
 
-// land starts a new window at the anchor, on the block at blockStart.
+// land starts a new window at the pending landing.
 func (s *Stream) land() {
-	idx := s.blockStart / simd.BlockSize
+	s.pending = false
 	s.size = min(firstWindow, s.limit)
-	s.refill(idx, reconstructQuoteState(s.in, s.blockStart, s.anchor))
-	s.load(idx)
+	s.refill(s.landing, reconstructQuoteState(s.in, s.landing*simd.BlockSize, s.anchor))
+	if s.landing >= s.hi {
+		s.markExhausted()
+	}
 }
 
-// BlockStart returns the absolute offset of the current block.
+// reach makes the window hold block idx, which must not precede it:
+// it settles a pending landing, then classifies forward. It reports false
+// when idx lies past the end of input.
+func (s *Stream) reach(idx int) bool {
+	s.settle()
+	return s.cover(idx)
+}
+
+// byteAt returns the document byte at pos, which the window holds.
+func (s *Stream) byteAt(pos int) byte {
+	if s.data != nil {
+		return s.data[pos]
+	}
+	b, _ := s.in.ByteAt(pos)
+	return b
+}
+
+// viewed returns the block view's word index in the window planes, or -1
+// when the view is past the end of input or off the window.
+func (s *Stream) viewed() int {
+	s.settle()
+	if i := s.blockStart/simd.BlockSize - s.lo; !s.exhausted && i >= 0 && i < len(s.w.Quote) {
+		return i
+	}
+	return -1
+}
+
+// Advance moves the block view to the next block. It reports false when
+// the input is exhausted.
+func (s *Stream) Advance() bool {
+	s.settle()
+	if s.exhausted {
+		return false
+	}
+	idx := s.blockStart/simd.BlockSize + 1
+	if !s.cover(idx) {
+		s.markExhausted()
+		return false
+	}
+	s.blockStart = idx * simd.BlockSize
+	return true
+}
+
+// BlockStart returns the absolute offset of the viewed block.
 func (s *Stream) BlockStart() int { return s.blockStart }
 
-// Exhausted reports whether the current block is past the end of input.
+// Exhausted reports whether the block view is past the end of input.
 func (s *Stream) Exhausted() bool {
 	s.settle()
-	return s.exhausted || s.blockLen == 0
+	return s.exhausted
 }
 
-// InString returns the in-string mask of the current block.
+// InString returns the in-string mask of the viewed block.
 func (s *Stream) InString() uint64 {
-	s.settle()
-	return s.inString
+	if i := s.viewed(); i >= 0 {
+		return s.w.InString[i]
+	}
+	return 0
 }
 
-// QuoteMask returns the unescaped-quote mask of the current block.
+// QuoteMask returns the unescaped-quote mask of the viewed block.
 func (s *Stream) QuoteMask() uint64 {
-	s.settle()
-	return s.quoteMask
+	if i := s.viewed(); i >= 0 {
+		return s.w.Quote[i]
+	}
+	return 0
 }
 
-// Block returns the current block's bytes (padded with spaces past the
+// Block returns the viewed block's bytes (padded with spaces past the
 // input's end).
 func (s *Stream) Block() *simd.Block {
 	s.settle()
-	return s.block
+	b, _ := s.in.Block(s.blockStart / simd.BlockSize)
+	return b
+}
+
+// KeyQuotes returns the two unescaped quotes closest below the colon at
+// colon — the quotes of the key the colon follows, when only whitespace
+// lies between the second and the colon — read from the window's Quote
+// plane. ok is false when the window does not reach back to both; the
+// caller then walks the bytes.
+func (s *Stream) KeyQuotes(colon int) (open, closing int, ok bool) {
+	i := colon/simd.BlockSize - s.lo
+	q := s.w.Quote
+	if uint(i) >= uint(len(q)) {
+		return 0, 0, false
+	}
+	m := q[i] & simd.BitsBelow(colon%simd.BlockSize)
+	if m&(m-1) != 0 {
+		// Both quotes lie in the colon's block: the common case.
+		base := (s.lo + i) * simd.BlockSize
+		hi := bits.Len64(m) - 1
+		return base + bits.Len64(m&^(1<<uint(hi))) - 1, base + hi, true
+	}
+	// Walk back word by word to the second quote below the colon.
+	found := 0
+	for {
+		for ; m != 0; m &^= 1 << uint(bits.Len64(m)-1) {
+			p := (s.lo+i)*simd.BlockSize + bits.Len64(m) - 1
+			if found++; found == 1 {
+				closing = p
+			} else {
+				return p, closing, true
+			}
+		}
+		if i--; i < 0 {
+			return 0, 0, false
+		}
+		m = q[i]
+	}
 }
 
 // SeekEndedInString reports whether the most recent label seek that ran out

@@ -55,12 +55,15 @@ type TailEvent struct {
 // SeekLabelWithin scans from absolute offset from, with the element
 // boundary rel levels of nesting up (rel >= 1), until the next verified
 // key occurrence of label or the boundary closer, whichever comes first.
-// The stream is left on the block containing the event.
+// Like SkipToClose it moves nothing but the window; the caller resumes from
+// the event with Structural.Reset.
 func SeekLabelWithin(s *Stream, from int, label []byte, rel int) TailEvent {
 	in := s.Input()
 	s.settle()
-	idx := max(s.blockStart, from) / simd.BlockSize
-	skip := simd.BitsBelow(max(from-idx*simd.BlockSize, 0))
+	idx, skip := from/simd.BlockSize, simd.BitsBelow(from%simd.BlockSize)
+	if idx < s.lo {
+		idx, skip = s.lo, 0
+	}
 	delta := 0
 	for ; s.cover(idx); idx = s.hi {
 		w := &s.w
@@ -89,12 +92,10 @@ func SeekLabelWithin(s *Stream, from int, label []byte, rel int) TailEvent {
 					rel--
 					delta--
 					if rel == 0 {
-						s.JumpTo(p)
 						return TailEvent{Kind: TailClose, Pos: p}
 					}
 				default:
 					if vs, ok := verifyKey(in, p, label); ok {
-						s.JumpTo(p)
 						return TailEvent{Kind: TailKey, KeyAt: p, ValueAt: vs, DepthDelta: delta}
 					}
 					// Not the sought key: the string's contents (including
@@ -104,6 +105,5 @@ func SeekLabelWithin(s *Stream, from int, label []byte, rel int) TailEvent {
 			}
 		}
 	}
-	s.markExhausted()
 	return TailEvent{Kind: TailEnd}
 }

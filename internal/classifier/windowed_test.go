@@ -33,8 +33,9 @@ func anchorable(data []byte) []bool {
 // block it lands on to the whole-document planes of data. Each op is one
 // move: an Advance, a JumpTo to the first anchor at or after a target up to
 // ~1 KiB ahead (inside the window, just past it, or far beyond), or a depth
-// skip from the current block held to the scalar oracle. After the ops the
-// stream is walked to the end of input.
+// skip from the current block held to the scalar oracle, after which the
+// view resumes at the landing closer. After the ops the stream is walked to
+// the end of input.
 func driveWindowed(t *testing.T, data, ops []byte, in input.Input, label string) {
 	t.Helper()
 	p := BuildPlanes(data)
@@ -64,10 +65,16 @@ func driveWindowed(t *testing.T, data, ops []byte, in input.Input, label string)
 				from := s.BlockStart()
 				got, gotOK := SkipToClose(s, from, '{')
 				want, wantOK := refSkipToClose(data, from, '{')
-				if gotOK != wantOK || gotOK && got != want {
+				if gotOK != wantOK || got != want {
 					t.Fatalf("%s: SkipToClose from %d = (%d,%v), oracle (%d,%v)",
 						label, from, got, gotOK, want, wantOK)
 				}
+				// Resume the view at the landing, as the cursor resumes
+				// from the returned position.
+				if got < 0 {
+					return nil
+				}
+				s.JumpTo(got)
 			}
 		}
 		for !s.Exhausted() {

@@ -171,7 +171,7 @@ func (e *Engine) runInput(in input.Input, planes *classifier.Planes, emit func(p
 			*r = run{} // drop the caller's input and callback
 			runPool.Put(r)
 		}()
-		*r = run{e: e, dfa: e.dfa, in: in, emit: emit}
+		*r = run{e: e, dfa: e.dfa, in: in, data: input.Contiguous(in), emit: emit}
 		if planes != nil {
 			r.stream = classifier.NewStreamPlanes(in, planes)
 		} else {
@@ -191,8 +191,9 @@ type run struct {
 	e      *Engine
 	dfa    *automaton.DFA
 	in     input.Input
+	data   []byte // the whole document over an in-memory input, else nil
 	stream *classifier.Stream
-	iter   *classifier.Structural
+	iter   classifier.Structural
 	emit   func(int)
 
 	stack   depthstack.Stack    // (state, depth) frames — the depth-stack
@@ -343,10 +344,9 @@ func (r *run) arrayEntryTarget(state automaton.StateID, idx int) automaton.State
 }
 
 // toggle adjusts the comma/colon symbols to the current state and the kind
-// of the element whose interior is at the given depth (§3.4's toggle()).
-func (r *run) toggle(state automaton.StateID, depth int) {
+// of the element being scanned (§3.4's toggle()).
+func (r *run) toggle(state automaton.StateID, isObj bool) {
 	st := &r.dfa.States[state]
-	isObj := r.kinds.Get(depth)
 	always := r.e.opts.DisableSkipLeaves
 	r.iter.SetColons(isObj && (st.CanAcceptInObject || always))
 	r.iter.SetCommas(!isObj && (st.CanAcceptInArray || st.NeedsIndexInArray || always))
@@ -356,23 +356,29 @@ func (r *run) toggle(state automaton.StateID, depth int) {
 // opening character at openPos has already been located; state is the
 // automaton state valid inside it (the opening itself triggers no
 // transition). It returns the position of the matching closing character.
+//
+// The kind of the element being scanned lives in obj, which always equals
+// r.kinds.Get(depth): the kind map is written when an element opens and
+// read when one closes, and nowhere else.
 func (r *run) subtree(state automaton.StateID, openPos int, openCh byte) (endPos int, err error) {
 	r.stack.Reset()
 	r.kinds.Reset()
 	r.indices.Reset()
 
 	depth := 1
-	r.kinds.Set(depth, openCh == '{')
+	obj := openCh == '{'
+	r.kinds.Set(depth, obj)
 	if openCh == '[' && r.e.needsIndex {
 		r.indices.Push(0)
 	}
-	r.toggle(state, depth)
+	r.toggle(state, obj)
 	if openCh == '[' {
 		r.tryMatchFirstItem(state, openPos)
 	}
 
+	it, tailSkip := &r.iter, r.e.tailSkip
 	for {
-		if r.e.tailSkip && r.dfa.States[state].Waiting {
+		if tailSkip && r.dfa.States[state].Waiting {
 			var done bool
 			var err error
 			state, depth, done, err = r.tailStep(state, depth)
@@ -383,15 +389,16 @@ func (r *run) subtree(state automaton.StateID, openPos int, openCh byte) (endPos
 				// depth hit zero: tailStep recorded the end position.
 				return r.tailEnd, nil
 			}
+			obj = r.kinds.Get(depth)
 			continue
 		}
-		pos, ch, ok := r.iter.Next()
-		if !ok {
+		if !it.Ready() {
 			return 0, r.errMalformed(r.endPos(), "unterminated document")
 		}
+		pos, ch := it.Take()
 		switch ch {
 		case '{', '[':
-			label, hasLabel, lok := LabelBefore(r.in, pos)
+			label, hasLabel, lok := r.labelBefore(pos)
 			if !lok {
 				return 0, r.errMalformed(pos, "cannot locate label")
 			}
@@ -417,23 +424,25 @@ func (r *run) subtree(state automaton.StateID, openPos int, openCh byte) (endPos
 			if err := r.checkDepth(depth, pos); err != nil {
 				return 0, err
 			}
-			r.kinds.Set(depth, ch == '{')
+			obj = ch == '{'
+			r.kinds.Set(depth, obj)
 			if ch == '[' && r.e.needsIndex {
 				r.indices.Push(0)
 			}
 			if r.dfa.States[state].Accepting {
 				r.emit(pos)
 			}
-			r.toggle(state, depth)
+			r.toggle(state, obj)
 			if ch == '[' {
 				r.tryMatchFirstItem(state, pos)
 			}
 
 		case '}', ']':
-			if r.kinds.Get(depth) != (ch == '}') {
+			if obj != (ch == '}') {
 				return 0, r.errMalformed(pos, "mismatched closer")
 			}
 			depth--
+			obj = r.kinds.Get(depth)
 			if ch == ']' && r.e.needsIndex && r.indices.Len() > 0 {
 				// The guard protects against malformed input closing an
 				// array that was never opened.
@@ -467,14 +476,16 @@ func (r *run) subtree(state automaton.StateID, openPos int, openCh byte) (endPos
 					continue
 				}
 			}
-			r.toggle(state, depth)
+			r.toggle(state, obj)
 
 		case ':':
-			if _, nch, ok := r.iter.Peek(); ok && (nch == '{' || nch == '[') {
-				continue // composite value: handled by its Opening event
+			if it.Ready() {
+				if _, nch := it.Look(); nch == '{' || nch == '[' {
+					continue // composite value: handled by its Opening event
+				}
 			}
-			label, hasLabel, lok := LabelBefore(r.in, pos+1)
-			if !lok || !hasLabel {
+			label, lok := r.keyBefore(pos)
+			if !lok {
 				return 0, r.errMalformed(pos, "colon without label")
 			}
 			target := r.dfa.Transition(state, label)
@@ -500,7 +511,7 @@ func (r *run) subtree(state automaton.StateID, openPos int, openCh byte) (endPos
 			}
 
 		case ',':
-			if r.e.needsIndex && !r.kinds.Get(depth) && r.indices.Len() > 0 {
+			if r.e.needsIndex && !obj && r.indices.Len() > 0 {
 				r.indices.Inc()
 				if from := r.dfa.RejectFrom(state); from >= 0 && r.currentIndex() >= from &&
 					!r.e.opts.DisableSkipSiblings {
@@ -579,7 +590,7 @@ func (r *run) tailStep(state automaton.StateID, depth int) (newState automaton.S
 			r.emit(ev.ValueAt)
 		}
 		r.iter.Reset(ev.ValueAt + 1)
-		r.toggle(target, atDepth)
+		r.toggle(target, c == '{')
 		if c == '[' {
 			r.tryMatchFirstItem(target, ev.ValueAt)
 		}
@@ -607,12 +618,41 @@ func (r *run) tailStep(state automaton.StateID, depth int) (newState automaton.S
 			}
 			return restored, boundary, false, nil
 		}
-		r.toggle(restored, boundary)
+		r.toggle(restored, r.kinds.Get(boundary))
 		return restored, boundary, false, nil
 
 	default:
 		return state, depth, false, r.errMalformed(r.endPos(), "unterminated document")
 	}
+}
+
+// labelBefore is LabelBefore for the run's own events.
+func (r *run) labelBefore(pos int) (label []byte, hasLabel, ok bool) {
+	if r.data == nil {
+		return LabelBefore(r.in, pos)
+	}
+	colon, ok := colonBefore(r.data, pos)
+	if colon < 0 || !ok {
+		return nil, false, ok
+	}
+	label, ok = r.keyBefore(colon)
+	return label, ok, ok
+}
+
+// keyBefore returns the key that the colon at colon follows; ok is false
+// when there is none. Over an in-memory document it reads the key's quotes
+// from the window's Quote plane instead of walking the key's bytes back,
+// and walks them only when the window does not reach back that far.
+func (r *run) keyBefore(colon int) (label []byte, ok bool) {
+	data := r.data
+	if data == nil {
+		label, _, ok = LabelBefore(r.in, colon+1)
+		return label, ok
+	}
+	if open, closing, found := r.stream.KeyQuotes(colon); found && allWS(data[closing+1:colon]) {
+		return data[open+1 : closing], true
+	}
+	return keyBeforeSlice(data, colon)
 }
 
 // currentIndex returns the entry index of the array being scanned (0 when

@@ -114,26 +114,44 @@ func LabelBefore(in input.Input, pos int) (label []byte, hasLabel, ok bool) {
 
 // labelBeforeSlice is LabelBefore's original in-memory scan.
 func labelBeforeSlice(data []byte, pos int) (label []byte, hasLabel, ok bool) {
+	colon, ok := colonBefore(data, pos)
+	if colon < 0 || !ok {
+		return nil, false, ok
+	}
+	label, ok = keyBeforeSlice(data, colon)
+	return label, ok, ok
+}
+
+// colonBefore walks back from pos over whitespace to what precedes a value
+// starting at pos: the colon after a key, whose position it returns, or
+// -1 for an array entry and the document root. ok is false when something
+// else precedes the value.
+func colonBefore(data []byte, pos int) (colon int, ok bool) {
 	i := pos - 1
 	for i >= 0 && isWS(data[i]) {
 		i--
 	}
 	if i < 0 {
-		return nil, false, true // document root
+		return -1, true // document root
 	}
 	switch data[i] {
 	case ',', '[':
-		return nil, false, true // array entry
+		return -1, true // array entry
 	case ':':
-		i--
-	default:
-		return nil, false, false
+		return i, true
 	}
+	return -1, false
+}
+
+// keyBeforeSlice walks back from the colon at colon to the key it follows;
+// ok is false when there is none.
+func keyBeforeSlice(data []byte, colon int) (label []byte, ok bool) {
+	i := colon - 1
 	for i >= 0 && isWS(data[i]) {
 		i--
 	}
 	if i < 0 || data[i] != '"' {
-		return nil, false, false
+		return nil, false
 	}
 	closing := i
 	for {
@@ -142,16 +160,26 @@ func labelBeforeSlice(data []byte, pos int) (label []byte, hasLabel, ok bool) {
 			i--
 		}
 		if i < 0 {
-			return nil, false, false
+			return nil, false
 		}
 		bs := 0
 		for j := i - 1; j >= 0 && data[j] == '\\'; j-- {
 			bs++
 		}
 		if bs%2 == 0 {
-			return data[i+1 : closing], true, true
+			return data[i+1 : closing], true
 		}
 	}
+}
+
+// allWS reports whether b holds only whitespace.
+func allWS(b []byte) bool {
+	for _, c := range b {
+		if !isWS(c) {
+			return false
+		}
+	}
+	return true
 }
 
 // backScan serves backward byte access over a window-bounded input: a

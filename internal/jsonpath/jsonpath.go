@@ -264,6 +264,15 @@ func (p *parser) peek() byte {
 	return 0
 }
 
+// found names what the parser stopped at, for its error messages: the next
+// byte, or the end of the query.
+func (p *parser) found() string {
+	if p.pos < len(p.input) {
+		return fmt.Sprintf("%q", p.input[p.pos])
+	}
+	return "end of query"
+}
+
 // selector parses one .l / ..l / .* / ..* / [x,...] / ..[x,...] step.
 func (p *parser) selector() (Selector, error) {
 	var sel Selector
@@ -288,7 +297,7 @@ func (p *parser) selector() (Selector, error) {
 	case p.peek() == '[':
 		return p.bracket(sel)
 	default:
-		return sel, p.errf("expected '.' or '[', found %q", p.peek())
+		return sel, p.errf("expected '.' or '[', found %s", p.found())
 	}
 }
 
@@ -325,7 +334,7 @@ func (p *parser) bracket(sel Selector) (Selector, error) {
 		case c == '-':
 			return sel, p.errf("negative array indices are not supported")
 		default:
-			return sel, p.errf("expected label, index or '*' in brackets, found %q", c)
+			return sel, p.errf("expected label, index or '*' in brackets, found %s", p.found())
 		}
 		p.skipSpaces()
 		if p.eat(',') {
@@ -421,7 +430,7 @@ func (p *parser) bareName() ([]byte, error) {
 		p.pos++
 	}
 	if p.pos == start {
-		return nil, p.errf("expected member name, found %q", p.peek())
+		return nil, p.errf("expected member name, found %s", p.found())
 	}
 	return []byte(p.input[start:p.pos]), nil
 }

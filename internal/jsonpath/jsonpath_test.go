@@ -1,6 +1,7 @@
 package jsonpath
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -195,6 +196,21 @@ func TestParseErrors(t *testing.T) {
 	}
 	for _, s := range bad {
 		assertParseError(t, s)
+	}
+}
+
+// TestParseErrorAtEndOfQuery: a query that stops early names the end of
+// the query, not a NUL byte the query does not hold.
+func TestParseErrorAtEndOfQuery(t *testing.T) {
+	for _, q := range []string{"$[", "$.", "$..", "$.a["} {
+		_, err := Parse(q)
+		if err == nil || !strings.Contains(err.Error(), "found end of query") || strings.Contains(err.Error(), `\x00`) {
+			t.Fatalf("Parse(%q) = %v, want an error naming the end of the query", q, err)
+		}
+	}
+	_, err := Parse("$x")
+	if err == nil || !strings.Contains(err.Error(), "found 'x'") {
+		t.Fatalf("Parse(%q) = %v, want an error naming 'x'", "$x", err)
 	}
 }
 

@@ -159,7 +159,7 @@ type run struct {
 	in     input.Input
 	emit   func(query, pos int)
 	stream *classifier.Stream
-	iter   *classifier.Structural
+	iter   classifier.Structural
 
 	steppers []engine.Stepper
 	targets  []automaton.StateID // scratch: per-query target of one event

@@ -153,8 +153,9 @@ func (s *Server) serveSingleStream(w http.ResponseWriter, r *http.Request, req *
 		} else {
 			v, err := rsonpath.ValueAt(doc, pos)
 			if err != nil {
+				// The run goes on to its own verdict, which takes
+				// precedence over the extraction's below.
 				sw.err = err
-				stop()
 				return
 			}
 			fr.Value = json.RawMessage(v)

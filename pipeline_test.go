@@ -166,11 +166,12 @@ func TestRunLinesMalformedRecord(t *testing.T) {
 func TestRunLinesVisitErrorStops(t *testing.T) {
 	input := `{"a": 1}` + "\n" + `{"a": 2}` + "\n"
 	calls := 0
+	errStop := errors.New("stop")
 	err := MustCompile("$.a").RunLines(strings.NewReader(input), func(LineMatch) error {
 		calls++
-		return errTruncated // any sentinel
+		return errStop
 	})
-	if err != errTruncated || calls != 1 {
+	if err != errStop || calls != 1 {
 		t.Fatalf("calls=%d err=%v", calls, err)
 	}
 }

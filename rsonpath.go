@@ -218,8 +218,10 @@ type stopRun struct{}
 // MatchValues returns the raw bytes of every matched value. The returned
 // slices alias data. On the first extraction failure the scan is abandoned:
 // the values extracted so far are returned together with the extraction
-// error (a truncated match means the document cannot be trusted beyond it,
-// and scanning the remainder would be pure waste).
+// error, a *MalformedError at the offset where the value's scan stopped
+// (see ValueAt): a value that does not end well-formed means the document
+// cannot be trusted beyond it, and scanning the remainder would be pure
+// waste.
 func (q *Query) MatchValues(data []byte) (out [][]byte, err error) {
 	if err := q.limits.checkDocBytes(len(data)); err != nil {
 		return nil, err
@@ -266,7 +268,3 @@ func (q *Query) CountReader(r io.Reader) (int, error) {
 	err := q.RunReader(r, func(int) { n++ })
 	return n, err
 }
-
-// errTruncated is returned by ValueAt on values that do not end within the
-// buffer.
-var errTruncated = errors.New("rsonpath: truncated value")

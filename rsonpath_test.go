@@ -58,14 +58,15 @@ func TestMatchValuesComposite(t *testing.T) {
 }
 
 func TestMatchValuesTruncatedShortCircuits(t *testing.T) {
-	// The matched value `[1}` never closes its bracket, so extraction fails;
-	// the run must be abandoned there instead of scanning on to the
-	// document's own malformed end (which would mask the extraction error
-	// with the engine's).
+	// The matched value `[1}` never closes its bracket, so extraction fails
+	// at the wrong-kind closer; the run must be abandoned there instead of
+	// scanning on to the document's own malformed end (which would mask the
+	// extraction error with the engine's).
 	doc := []byte(`{"a": [1}`)
 	vals, err := MustCompile("$.a").MatchValues(doc)
-	if err == nil || !strings.Contains(err.Error(), "truncated") {
-		t.Fatalf("err = %v, want truncated-value error", err)
+	var me *MalformedError
+	if !errors.As(err, &me) || me.Offset != 8 || me.Kind != "mismatched closer" {
+		t.Fatalf("err = %v, want a mismatched closer at offset 8", err)
 	}
 	if len(vals) != 0 {
 		t.Fatalf("values = %q", vals)
@@ -77,8 +78,9 @@ func TestMatchValuesTruncatedKeepsEarlierValues(t *testing.T) {
 	// collected before the failure are returned with the error.
 	doc := []byte(`{"a": 1, "b": {"a": [2`)
 	vals, err := MustCompile("$..a").MatchValues(doc)
-	if err == nil || !strings.Contains(err.Error(), "truncated") {
-		t.Fatalf("err = %v, want truncated-value error", err)
+	var me *MalformedError
+	if !errors.As(err, &me) || me.Offset != len(doc) || me.Kind != "unterminated value" {
+		t.Fatalf("err = %v, want an unterminated value at offset %d", err, len(doc))
 	}
 	if len(vals) != 1 || string(vals[0]) != "1" {
 		t.Fatalf("values = %q", vals)

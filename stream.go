@@ -67,6 +67,8 @@ func (q *Query) RunReader(r io.Reader, emit func(pos int)) error {
 // aliases the stream's window and is valid only during the visit call; a
 // matched value larger than the window's capacity aborts the run with
 // *input.Error. Engines that cannot stream return ErrStreamingUnsupported.
+// As in MatchValues, a value that does not end well-formed abandons the
+// run with a *MalformedError at the offset where the value's scan stopped.
 func (q *Query) RunReaderValues(r io.Reader, visit func(pos int, value []byte)) error {
 	sr, ok := q.run.(inputRunner)
 	if !ok {
@@ -106,10 +108,12 @@ func (q *Query) RunReaderValues(r io.Reader, visit func(pos int, value []byte)) 
 // Bytes — deliberately not a classifier pass: a second classification
 // stream would contend with the engine's own stream for the input's block
 // scratch, while Bytes reads leave the engine's current block untouched.
+// Like the depth classifier it counts both bracket kinds, and like ValueAt
+// it reports a value that does not end well-formed as a *MalformedError.
 func valueBytesAt(in input.Input, pos int) ([]byte, error) {
 	c, ok := in.ByteAt(pos)
 	if !ok {
-		return nil, errTruncated
+		return nil, unterminatedValue(in.Len())
 	}
 	switch c {
 	case '{', '[':
@@ -123,7 +127,7 @@ func valueBytesAt(in input.Input, pos int) ([]byte, error) {
 		for {
 			chunk := in.Bytes(i, i+input.BlockSize)
 			if len(chunk) == 0 {
-				return nil, errTruncated
+				return nil, unterminatedValue(in.Len())
 			}
 			for j, b := range chunk {
 				switch {
@@ -138,11 +142,13 @@ func valueBytesAt(in input.Input, pos int) ([]byte, error) {
 					}
 				case b == '"':
 					inStr = true
-				case b == c:
+				case b == '{' || b == '[':
 					depth++
-				case b == closer:
-					depth--
-					if depth == 0 {
+				case b == '}' || b == ']':
+					if depth--; depth == 0 {
+						if b != closer {
+							return nil, mismatchedCloser(i + j)
+						}
 						return in.Bytes(pos, i+j+1), nil
 					}
 				}
@@ -155,7 +161,7 @@ func valueBytesAt(in input.Input, pos int) ([]byte, error) {
 		for {
 			chunk := in.Bytes(i, i+input.BlockSize)
 			if len(chunk) == 0 {
-				return nil, errTruncated
+				return nil, unterminatedValue(in.Len())
 			}
 			for j, b := range chunk {
 				switch {
