@@ -228,8 +228,12 @@ func run(h *bench.Harness, exp, jsonDir string) error {
 		return writeJSON(jsonDir, "parallel_lines", results)
 
 	case "swar":
-		fmt.Fprintln(w, "== SWAR: batched vs per-block classification; indexed repeat queries ==")
+		fmt.Fprintln(w, "== SWAR: batched vs per-block classification; head-skip seeker; indexed repeat queries ==")
 		kernels, err := h.RunSWARKernels([]string{"crossref", "ast"})
+		if err != nil {
+			return err
+		}
+		seekers, err := h.RunSeekers()
 		if err != nil {
 			return err
 		}
@@ -241,6 +245,7 @@ func run(h *bench.Harness, exp, jsonDir string) error {
 			Backend:       simd.Backend(),
 			Backends:      simd.Backends(),
 			Kernels:       kernels,
+			Seekers:       seekers,
 			IndexedRepeat: repeat,
 		}
 		bench.RenderSWAR(w, rep)

@@ -1,13 +1,16 @@
 package bench
 
 import (
+	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 	"time"
 
 	"rsonpath"
 	"rsonpath/internal/classifier"
+	"rsonpath/internal/jsonpath"
 	"rsonpath/internal/simd"
 )
 
@@ -40,16 +43,173 @@ type SWARKernelResult struct {
 	PlanesSpeedup   float64 `json:"planes_speedup"`
 }
 
+// SeekerResult measures the head-skip seeker on one (dataset, label): the
+// throughput of finding every occurrence of the label as an object key
+// with classifier.SeekLabelPattern, resuming at each value as the engine's
+// head-skip loop does, under every backend available on the host.
+// Serialised into BENCH_swar.json.
+type SeekerResult struct {
+	Dataset string `json:"dataset"`
+	Label   string `json:"label"`
+	Bytes   int    `json:"bytes"`
+	// Keys is the number of key occurrences found; every backend must
+	// find the same.
+	Keys int `json:"keys"`
+	// SeekGBps maps each backend name to its seek walk's GB/s.
+	SeekGBps map[string]float64 `json:"seek_gbps"`
+	// BytesIndexGBps is a reference column: bytes.Index walking every
+	// occurrence of the quoted label, the search the seeker used before
+	// the pair filter, without its quote screen or key verification.
+	BytesIndexGBps float64 `json:"bytes_index_gbps"`
+}
+
 // Acceptance floors for CheckSimd: on a host with hardware kernels, the
 // hardware batch sweep must beat forced SWAR by SimdKernelFloor, and the
 // whole plane build and the cold stream walk by SimdPlanesFloor and
 // SimdStreamFloor (both include the sequential quote-carry pass, which no
-// backend can vectorize, hence the lower bars).
+// backend can vectorize, hence the lower bars). The hardware seeker must
+// beat the forced-SWAR seeker by SimdSeekFloor in the geometric mean over
+// the seeker rows: per label the margin ranges from near 1 (labels whose
+// keys are dense, where verification and the quote screen dominate) to
+// several-fold, so no single row carries the gate.
 const (
 	SimdKernelFloor = 2.5
 	SimdPlanesFloor = 1.5
 	SimdStreamFloor = 1.5
+	SimdSeekFloor   = 1.5
 )
+
+// seekerExtraQueries are head-skip queries measured by the seeker rows
+// beyond Specs: the serving benchmark's NDJSON batches run
+// $..affiliation..name over Crossref records.
+var seekerExtraQueries = []struct{ Dataset, Query string }{
+	{"crossref", "$..affiliation..name"},
+}
+
+// seekerLabels lists the distinct (dataset, leading label) pairs of every
+// head-skip query in Specs — the ones whose first selector is a descendant
+// with a single label — followed by seekerExtraQueries.
+func seekerLabels() ([][2]string, error) {
+	var out [][2]string
+	add := func(dataset, query string) error {
+		q, err := jsonpath.Parse(query)
+		if err != nil {
+			return fmt.Errorf("swar: %s: %w", query, err)
+		}
+		if len(q.Selectors) == 0 || !q.Selectors[0].Descendant || len(q.Selectors[0].Labels) != 1 {
+			return nil
+		}
+		pair := [2]string{dataset, string(q.Selectors[0].Labels[0])}
+		for _, p := range out {
+			if p == pair {
+				return nil
+			}
+		}
+		out = append(out, pair)
+		return nil
+	}
+	for _, s := range Specs {
+		if err := add(s.Dataset, s.Query); err != nil {
+			return nil, err
+		}
+	}
+	for _, e := range seekerExtraQueries {
+		if err := add(e.Dataset, e.Query); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// seekAll finds every key occurrence of the needle's label in data,
+// resuming at each value's first byte, and returns how many it found.
+func seekAll(data []byte, n *classifier.Needle) int {
+	s := classifier.NewStream(data)
+	keys := 0
+	for from := 0; ; keys++ {
+		_, v, ok := classifier.SeekLabelPattern(s, from, n)
+		if !ok {
+			break
+		}
+		from = v
+	}
+	s.Release()
+	return keys
+}
+
+// RunSeekers measures the head-skip seeker on every seekerLabels row, once
+// per available backend (each forced for its timing and the previous one
+// restored), next to a bytes.Index walk of the quoted label.
+func (h *Harness) RunSeekers() ([]SeekerResult, error) {
+	passes := h.Samples
+	if passes < 3 {
+		passes = 3
+	}
+	labels, err := seekerLabels()
+	if err != nil {
+		return nil, err
+	}
+	prev := simd.Backend()
+	defer func() { _ = simd.SetBackend(prev) }()
+	var out []SeekerResult
+	for _, dl := range labels {
+		data, err := h.Dataset(dl[0])
+		if err != nil {
+			return nil, err
+		}
+		pattern := []byte(`"` + dl[1] + `"`)
+		needle := classifier.NewNeedle(pattern)
+		r := SeekerResult{Dataset: dl[0], Label: dl[1], Bytes: len(data),
+			Keys: seekAll(data, &needle), SeekGBps: map[string]float64{}}
+		for _, backend := range simd.Backends() {
+			if err := simd.SetBackend(backend); err != nil {
+				return nil, fmt.Errorf("swar: forcing backend %s: %w", backend, err)
+			}
+			keys := 0
+			r.SeekGBps[backend] = timeGBps(len(data), passes, func() {
+				keys = seekAll(data, &needle)
+			})
+			if keys != r.Keys {
+				return nil, fmt.Errorf("swar: %s %q: backend %s found %d keys, backend %s %d",
+					dl[0], dl[1], backend, keys, prev, r.Keys)
+			}
+		}
+		r.BytesIndexGBps = timeGBps(len(data), passes, func() {
+			for pos := 0; ; {
+				i := bytes.Index(data[pos:], pattern)
+				if i < 0 {
+					break
+				}
+				pos += i + 1
+				Sink++
+			}
+		})
+		out = append(out, r)
+	}
+	return out, simd.SetBackend(prev)
+}
+
+// seekSpeedup is the geometric mean over rows of the hardware backend's
+// seek GB/s over forced SWAR's, and the hardware backend's name; ok is
+// false when no row has both.
+func seekSpeedup(rows []SeekerResult) (ratio float64, hw string, ok bool) {
+	sum, n := 0.0, 0
+	for _, r := range rows {
+		swar := r.SeekGBps["swar"]
+		for name, gbps := range r.SeekGBps {
+			if name == "swar" || swar <= 0 || gbps <= 0 {
+				continue
+			}
+			sum += math.Log(gbps / swar)
+			n++
+			hw = name
+		}
+	}
+	if n == 0 {
+		return 0, "", false
+	}
+	return math.Exp(sum / float64(n)), hw, true
+}
 
 // IndexedRepeatResult compares N cold Query.Run passes against N warm
 // RunIndexed passes over one prebuilt index, the IndexedDocument headline
@@ -79,6 +239,7 @@ type SWARReport struct {
 	// Backends lists every backend available on the recording host.
 	Backends      []string              `json:"backends"`
 	Kernels       []SWARKernelResult    `json:"kernels"`
+	Seekers       []SeekerResult        `json:"seekers"`
 	IndexedRepeat []IndexedRepeatResult `json:"indexed_repeat"`
 }
 
@@ -240,8 +401,9 @@ func (h *Harness) RunSWARKernels(datasets []string) ([]SWARKernelResult, error) 
 // kernel must be at least SimdKernelFloor times the SWAR batch kernel, the
 // hardware plane build at least SimdPlanesFloor times the SWAR build, and
 // the hardware cold stream walk at least SimdStreamFloor times the SWAR
-// walk. On hosts with no hardware backend there is nothing to compare and
-// the gate passes.
+// walk; and over the seeker rows, the hardware seeker at least
+// SimdSeekFloor times the SWAR seeker (geometric mean). On hosts with no
+// hardware backend there is nothing to compare and the gate passes.
 func CheckSimd(rep SWARReport) error {
 	type pair struct{ swar, hw *SWARKernelResult }
 	byDataset := map[string]*pair{}
@@ -284,6 +446,11 @@ func CheckSimd(rep SWARReport) error {
 					dataset, p.hw.Backend, ratio, p.hw.StreamWalkGBps, p.swar.StreamWalkGBps, SimdStreamFloor))
 			}
 		}
+	}
+	if ratio, hw, ok := seekSpeedup(rep.Seekers); ok && ratio < SimdSeekFloor {
+		bad = append(bad, fmt.Sprintf(
+			"seekers: %s head-skip seeker is only %.2f× swar (geometric mean over %d labels), floor %.1f×",
+			hw, ratio, len(rep.Seekers), SimdSeekFloor))
 	}
 	if len(bad) > 0 {
 		return fmt.Errorf("simd acceptance failed:\n  %s", strings.Join(bad, "\n  "))
@@ -394,6 +561,23 @@ func RenderSWAR(w io.Writer, rep SWARReport) {
 			r.Dataset, r.Backend, float64(r.Bytes)/(1<<20),
 			r.BatchKernelGBps, r.PerBlockKernelGBps, r.KernelSpeedup,
 			r.BuildPlanesGBps, r.StreamWalkGBps, r.PlanesSpeedup)
+	}
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "%-14s %-24s %8s |", "dataset", "head-skip label", "keys")
+	for _, b := range rep.Backends {
+		fmt.Fprintf(w, " %18s", b+" seek GB/s")
+	}
+	fmt.Fprintf(w, " | %12s\n", "bytes.Index")
+	for _, r := range rep.Seekers {
+		cols := make([]string, len(rep.Backends))
+		for i, b := range rep.Backends {
+			cols[i] = fmt.Sprintf("%18.2f", r.SeekGBps[b])
+		}
+		fmt.Fprintf(w, "%-14s %-24s %8d | %s | %12.2f\n",
+			r.Dataset, r.Label, r.Keys, strings.Join(cols, " "), r.BytesIndexGBps)
+	}
+	if ratio, hw, ok := seekSpeedup(rep.Seekers); ok {
+		fmt.Fprintf(w, "seeker: %s over swar, geometric mean %.2fx (floor %.1fx)\n", hw, ratio, SimdSeekFloor)
 	}
 	fmt.Fprintln(w)
 	fmt.Fprintf(w, "%-10s %4s %9s | %10s %10s %10s | %8s %8s\n",

@@ -59,6 +59,63 @@ func TestCheckSimd(t *testing.T) {
 	}
 }
 
+// TestCheckSimdSeekFloor pins the seeker gate: the geometric mean of the
+// hardware seeker's margin over forced SWAR must clear SimdSeekFloor, so
+// one dense label near 1× does not fail a host whose other labels clear it.
+func TestCheckSimdSeekFloor(t *testing.T) {
+	seek := func(swar, hw float64) SeekerResult {
+		return SeekerResult{SeekGBps: map[string]float64{"swar": swar, "avx2": hw}}
+	}
+	cases := []struct {
+		name    string
+		seekers []SeekerResult
+		wantErr bool
+	}{
+		{"no seeker rows", nil, false},
+		{"swar only", []SeekerResult{{SeekGBps: map[string]float64{"swar": 2}}}, false},
+		{"clears the floor", []SeekerResult{seek(2, 8), seek(2, 6)}, false},
+		{"one dense label near 1x", []SeekerResult{seek(2, 2.4), seek(2, 10), seek(2, 8)}, false},
+		{"below the floor", []SeekerResult{seek(2, 2.4), seek(2, 3.2)}, true},
+	}
+	for _, tc := range cases {
+		err := CheckSimd(SWARReport{Seekers: tc.seekers})
+		if (err != nil) != tc.wantErr || (err != nil && !strings.Contains(err.Error(), "seeker")) {
+			t.Errorf("%s: error = %v, want error %v", tc.name, err, tc.wantErr)
+		}
+	}
+}
+
+// TestRunSeekersRows asserts the seeker rows cover the scan workload's
+// head-skip labels plus the NDJSON one, with one rate per backend and the
+// same key count under each.
+func TestRunSeekersRows(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates datasets")
+	}
+	h := NewHarness()
+	h.SizeFactor = 0.005
+	h.Samples = 1
+	before := simd.Backend()
+	rows, err := h.RunSeekers()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := simd.Backend(); got != before {
+		t.Fatalf("RunSeekers left backend %q, started with %q", got, before)
+	}
+	if len(rows) != 21 {
+		t.Fatalf("%d seeker rows, want 21 (20 scan head-skip labels and affiliation)", len(rows))
+	}
+	for _, r := range rows {
+		if len(r.SeekGBps) != len(simd.Backends()) {
+			t.Fatalf("%s %q: rates for %v, want one per backend %v", r.Dataset, r.Label, r.SeekGBps, simd.Backends())
+		}
+	}
+	if last := rows[len(rows)-1]; last.Dataset != "crossref" || last.Label != "affiliation" {
+		t.Fatalf("last row = %s %q, want crossref affiliation", last.Dataset, last.Label)
+	}
+}
+
 // TestRunSWARKernelsPerBackendRows asserts the experiment emits one row per
 // available backend per dataset and restores the active backend.
 func TestRunSWARKernelsPerBackendRows(t *testing.T) {

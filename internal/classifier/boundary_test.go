@@ -31,13 +31,13 @@ func (r *chunkReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// bufferedSeek runs SeekLabel over a window-bounded input fed in small
+// bufferedSeek runs SeekLabelPattern over a window-bounded input fed in small
 // reads, under Guard so window violations surface as errors.
 func bufferedSeek(data []byte, label string, window, chunk int) (k, v int, ok bool, err error) {
 	err = input.Guard(func() error {
 		in := input.NewBuffered(&chunkReader{data: data, n: chunk}, window)
 		s := NewStreamInput(in)
-		k, v, ok = SeekLabel(s, 0, []byte(label))
+		k, v, ok = seekLabel(s, 0, label)
 		return nil
 	})
 	return
@@ -80,7 +80,7 @@ func TestSeekLabelAcrossBoundaries(t *testing.T) {
 			for _, pad := range pads {
 				doc, label := m.mk(strings.Repeat(" ", pad))
 				data := []byte(doc)
-				wantK, wantV, wantOK := SeekLabel(NewStream(data), 0, []byte(label))
+				wantK, wantV, wantOK := seekLabel(NewStream(data), 0, label)
 				for _, window := range []int{64, 128, 1024} {
 					for _, chunk := range []int{7, 64} {
 						k, v, ok, err := bufferedSeek(data, label, window, chunk)

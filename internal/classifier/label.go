@@ -7,42 +7,74 @@ import (
 	"rsonpath/internal/simd"
 )
 
-// SeekLabel implements skipping to a label (§3.3, §3.4): it finds the next
-// occurrence of the object key label at or after absolute offset from and
-// returns the offset of the key's opening quote together with the offset of
-// the first byte of its value. On success the stream is repositioned (with
-// a correctly reconstructed quote state) on the block containing valueAt,
-// ready for the engine to resume.
+// Needle is a head-skip label prepared for SeekLabelPattern: its quoted
+// spelling and the two offsets of that pattern the packed-pair prefilter
+// compares. It is a small value, built once per compiled query and shared
+// by every seek of every run and record; a slice can hold several.
+type Needle struct {
+	pattern      []byte // the label in its quoted spelling, "label"
+	rare1, rare2 int    // the pair: two distinct offsets into pattern
+}
+
+// NewNeedle prepares the quoted label pattern (`"` + label + `"`, as the
+// automaton precomputes it) for the seeker. The pair is the pattern's
+// rarest byte by byteRank and the rarest byte that differs from it, each
+// at its first offset, so a label of two or more distinct bytes is
+// filtered on two of its own bytes, never on a quote. A pattern of one
+// repeated byte pairs its two ends. pattern is retained, not copied.
+func NewNeedle(pattern []byte) Needle {
+	n := Needle{pattern: pattern, rare2: -1}
+	for i, b := range pattern {
+		switch {
+		case byteRank[b] < byteRank[pattern[n.rare1]]:
+			// A new rarest byte; the previous one, a different byte no
+			// rarer than any other seen, becomes the runner-up.
+			n.rare1, n.rare2 = i, n.rare1
+		case b != pattern[n.rare1] && (n.rare2 < 0 || byteRank[b] < byteRank[pattern[n.rare2]]):
+			n.rare2 = i
+		}
+	}
+	if n.rare2 < 0 {
+		n.rare2 = len(pattern) - 1 // every byte equals pattern[0]
+	}
+	return n
+}
+
+// Label returns the label the needle seeks, unquoted.
+func (n *Needle) Label() []byte { return n.pattern[1 : len(n.pattern)-1] }
+
+// SeekLabelPattern implements skipping to a label (§3.3, §3.4): it finds
+// the next occurrence of the needle's label as an object key at or after
+// absolute offset from and returns the offset of the key's opening quote
+// together with the offset of the first byte of its value. On success the
+// stream is repositioned (with a correctly reconstructed quote state) on
+// the block containing valueAt, ready for the engine to resume.
 //
-// from must lie outside any string and not be escaped — true for every
-// value boundary, which is where the engine's head-skip loop resumes from.
+// from must lie outside any string, not be escaped, and not be on a
+// string's closing quote — true for every value boundary, which is where
+// the engine's head-skip loop resumes from (LeafEnd returns past a string
+// value's closing quote).
 //
-// Like the paper's memmem-based skipping, the search is delegated to an
-// optimized substring scan (bytes.Index, the stdlib's accelerated memmem).
-// Unlike the paper's original, candidates are screened against the quote
-// structure, which the seeker tracks incrementally: the parity of unescaped
-// quotes between candidates decides whether a candidate's first quote opens
-// a string (a potential key) or closes one (an in-string false positive).
-// Parity over a backslash-free gap is one vectorised bytes.Count; gaps with
-// backslashes fall back to a scalar scan.
+// Like the paper's memmem-based skipping, candidates come from a vector
+// substring prefilter: simd.PairCandidates compares the needle's two rare
+// bytes at their offsets for a chunk of anchors at a time and returns the
+// chunk's candidate mask, whose bits are verified here with bytes.Equal.
+// Unlike the paper's original, verified occurrences are then screened
+// against the quote structure, which the seeker tracks incrementally: the
+// parity of unescaped quotes between candidates decides whether a
+// candidate's first quote opens a string (a potential key) or closes one
+// (an in-string false positive). Parity over a backslash-free gap is one
+// vectorised bytes.Count; gaps with backslashes fall back to a scalar scan.
 //
 // Over a window-bounded input the search proceeds in window-sized chunks,
 // carrying the quote parity (and a trailing-escape flag) across chunk
 // boundaries; chunks overlap by len(pattern)-1 bytes so a pattern
-// straddling a boundary is still found.
+// straddling a boundary is still found (both pair offsets lie inside the
+// pattern, so its anchor falls in exactly one chunk).
 //
 // ok is false when no further occurrence exists.
-func SeekLabel(s *Stream, from int, label []byte) (keyAt, valueAt int, ok bool) {
-	pattern := make([]byte, 0, len(label)+2)
-	pattern = append(pattern, '"')
-	pattern = append(pattern, label...)
-	pattern = append(pattern, '"')
-	return SeekLabelPattern(s, from, label, pattern)
-}
-
-// SeekLabelPattern is SeekLabel with the quoted pattern precomputed by the
-// caller (the engine reuses it across the whole head-skip loop).
-func SeekLabelPattern(s *Stream, from int, label, pattern []byte) (keyAt, valueAt int, ok bool) {
+func SeekLabelPattern(s *Stream, from int, n *Needle) (keyAt, valueAt int, ok bool) {
+	pattern, label := n.pattern, n.Label()
 	in := s.Input()
 	chunkSize := in.Window()
 	if chunkSize != 0 {
@@ -62,6 +94,7 @@ func SeekLabelPattern(s *Stream, from int, label, pattern []byte) (keyAt, valueA
 	pos := from       // absolute start of the unsearched region
 	inString := false // quote state at pos
 	escaped := false  // whether the byte at pos is escaped
+refetch:
 	for {
 		var hi int
 		if chunkSize == 0 {
@@ -71,54 +104,58 @@ func SeekLabelPattern(s *Stream, from int, label, pattern []byte) (keyAt, valueA
 		}
 		buf := in.Bytes(pos, hi)
 		final := chunkSize == 0 || len(buf) < hi-pos
-		cur := 0 // relative offset the quote state is valid at
-		for {
-			i := bytes.Index(buf[cur:], pattern)
-			if i < 0 {
+		cur := 0  // relative offset the quote state is valid at
+		next := 0 // relative offset of the first anchor left to filter
+		for next < len(buf) {
+			base, mask := simd.PairCandidates(buf[next:], pattern, n.rare1, n.rare2)
+			if mask == 0 {
 				break
 			}
-			ci := cur + i
-			cand := pos + ci
-			gap := buf[cur:ci]
-			candEscaped := false
-			if !escaped && bytes.IndexByte(gap, '\\') < 0 {
-				if bytes.Count(gap, pattern[:1])&1 == 1 {
-					inString = !inString
+			chunk := next + base
+			next = chunk + simd.BlockSize
+			for ; mask != 0; mask = simd.ClearLowest(mask) {
+				ci := chunk + simd.TrailingZeros(mask)
+				if !bytes.Equal(buf[ci:ci+len(pattern)], pattern) {
+					continue
 				}
-			} else {
-				inString, candEscaped = advanceQuoteState(gap, inString, escaped)
-			}
-			escaped = false
-			switch {
-			case candEscaped:
-				// The candidate's quote is escaped: it is string content.
-				// The escape consumed the quote; the string continues.
-				cur = ci + 1
-			case inString:
-				// The candidate's first quote closes a string.
-				inString = false
-				cur = ci + 1
-			default:
-				// The candidate's first quote opens a string whose content
-				// begins with the label: verify closing quote and colon.
-				if vs, match := verifyKey(in, cand, label); match {
-					s.JumpTo(vs)
-					return cand, vs, true
+				gap := buf[cur:ci]
+				candEscaped := false
+				if !escaped && bytes.IndexByte(gap, '\\') < 0 {
+					if bytes.Count(gap, pattern[:1])&1 == 1 {
+						inString = !inString
+					}
+				} else {
+					inString, candEscaped = advanceQuoteState(gap, inString, escaped)
 				}
-				// Not a key (value string, longer key, or escaped closing
-				// quote). Step inside the string and resume; the parity
-				// logic disposes of the rest of it. Verification touched
-				// the input, which may have invalidated buf: refetch.
-				inString = true
-				pos += ci + 1
-				cur = -1
+				escaped = false
+				cur = ci + 1
+				switch {
+				case candEscaped:
+					// The candidate's quote is escaped: it is string
+					// content. The escape consumed the quote; the string
+					// continues.
+				case inString:
+					// The candidate's first quote closes a string.
+					inString = false
+				default:
+					// The candidate's first quote opens a string whose
+					// content begins with the label: verify closing quote
+					// and colon.
+					cand := pos + ci
+					if vs, match := verifyKey(in, cand, label); match {
+						s.JumpTo(vs)
+						return cand, vs, true
+					}
+					// Not a key (value string, longer key, or escaped
+					// closing quote). Step inside the string and resume;
+					// the parity logic disposes of the rest of it.
+					// Verification touched the input, which may have
+					// invalidated buf: refetch.
+					inString = true
+					pos += ci + 1
+					continue refetch
+				}
 			}
-			if cur < 0 {
-				break
-			}
-		}
-		if cur < 0 {
-			continue // refetch after verification
 		}
 		if final {
 			// No further occurrence. Carry the quote parity over the
@@ -136,18 +173,18 @@ func SeekLabelPattern(s *Stream, from int, label, pattern []byte) (keyAt, valueA
 			return 0, 0, false
 		}
 		// Consume the chunk up to the overlap and carry the state forward.
-		next := len(buf) - (len(pattern) - 1)
-		if next < cur {
-			next = cur
+		keep := len(buf) - (len(pattern) - 1)
+		if keep < cur {
+			keep = cur
 		}
-		if gap := buf[cur:next]; !escaped && bytes.IndexByte(gap, '\\') < 0 {
+		if gap := buf[cur:keep]; !escaped && bytes.IndexByte(gap, '\\') < 0 {
 			if bytes.Count(gap, pattern[:1])&1 == 1 {
 				inString = !inString
 			}
 		} else {
 			inString, escaped = advanceQuoteState(gap, inString, escaped)
 		}
-		pos += next
+		pos += keep
 	}
 }
 

@@ -1,13 +1,15 @@
 package classifier
 
 import (
+	"errors"
 	"math/rand"
-	"rsonpath/internal/input"
 	"strings"
 	"testing"
+
+	"rsonpath/internal/input"
 )
 
-// refSeekLabel is the scalar oracle for SeekLabel.
+// refSeekLabel is the scalar oracle for SeekLabelPattern.
 func refSeekLabel(data []byte, from int, label []byte) (keyAt, valueAt int, ok bool) {
 	quotes, inString := refQuoteScan(data)
 	for q := from; q < len(data); q++ {
@@ -21,18 +23,33 @@ func refSeekLabel(data []byte, from int, label []byte) (keyAt, valueAt int, ok b
 	return 0, 0, false
 }
 
-func assertSeek(t *testing.T, data string, from int, label string) {
-	t.Helper()
-	// SeekLabel requires from to be outside strings and unescaped.
-	_, inString := refQuoteScan([]byte(data))
-	for from < len(data) && (inString[from] || (from > 0 && data[from-1] == '\\')) {
+// seekLabel runs SeekLabelPattern with a needle built for label, the way
+// the engine builds one per compiled query.
+func seekLabel(s *Stream, from int, label string) (keyAt, valueAt int, ok bool) {
+	n := NewNeedle([]byte(`"` + label + `"`))
+	return SeekLabelPattern(s, from, &n)
+}
+
+// seekStart moves from forward to the first position the seeker's contract
+// admits: outside strings, unescaped, and not on a closing quote (which
+// refQuoteScan marks as outside its string). The engine only ever resumes
+// at such positions.
+func seekStart(data string, from int) int {
+	quotes, inString := refQuoteScan([]byte(data))
+	for from < len(data) && (inString[from] || quotes[from] || (from > 0 && data[from-1] == '\\')) {
 		from++
 	}
+	return from
+}
+
+func assertSeek(t *testing.T, data string, from int, label string) {
+	t.Helper()
+	from = seekStart(data, from)
 	s := NewStream([]byte(data))
-	gotK, gotV, gotOK := SeekLabel(s, from, []byte(label))
+	gotK, gotV, gotOK := seekLabel(s, from, label)
 	wantK, wantV, wantOK := refSeekLabel([]byte(data), from, []byte(label))
 	if gotOK != wantOK || (gotOK && (gotK != wantK || gotV != wantV)) {
-		t.Fatalf("SeekLabel(%q, %d, %q) = (%d,%d,%v), want (%d,%d,%v)",
+		t.Fatalf("SeekLabelPattern(%q, %d, %q) = (%d,%d,%v), want (%d,%d,%v)",
 			data, from, label, gotK, gotV, gotOK, wantK, wantV, wantOK)
 	}
 	if gotOK && (s.BlockStart() > gotV || gotV >= s.BlockStart()+64) {
@@ -57,6 +74,21 @@ func TestSeekLabelRejectsStringValues(t *testing.T) {
 func TestSeekLabelRejectsPrefixKeys(t *testing.T) {
 	assertSeek(t, `{"bb": 1, "b": 2}`, 0, "b")
 	assertSeek(t, `{"b2": 1}`, 0, "b")
+}
+
+func TestSeekLabelStartsPastClosingQuote(t *testing.T) {
+	// Offset 3 is the closing quote of "x": the seeker's contract excludes
+	// it, so the helper must start past it, where the engine would resume.
+	// Started on the quote itself, the seeker takes it for an opening one
+	// and misses key "ab" at 10.
+	const doc = `{"x":"ab","ab":1}`
+	if got := seekStart(doc, 3); got != 4 {
+		t.Fatalf("seekStart(%q, 3) = %d, want 4 (past the closing quote)", doc, got)
+	}
+	assertSeek(t, doc, 3, "ab")
+	if k, _, ok := seekLabel(NewStream([]byte(doc)), 4, "ab"); !ok || k != 10 {
+		t.Fatalf("seek from 4 = (%d, %v), want key 10", k, ok)
+	}
 }
 
 func TestSeekLabelWhitespaceBeforeColon(t *testing.T) {
@@ -108,7 +140,7 @@ func TestSeekLabelRepeatedFinds(t *testing.T) {
 	var keys []int
 	from := 0
 	for {
-		k, v, ok := SeekLabel(s, from, []byte("a"))
+		k, v, ok := seekLabel(s, from, "a")
 		if !ok {
 			break
 		}
@@ -124,4 +156,100 @@ func TestSeekLabelRepeatedFinds(t *testing.T) {
 			t.Fatalf("found keys at %v, want %v", keys, want)
 		}
 	}
+}
+
+// seekWalk finds every key occurrence of label in the stream, resuming at
+// each value's first byte as the engine's head-skip loop resumes at value
+// boundaries, and reports the (key, value) offsets plus whether the
+// document ended inside a string.
+func seekWalk(s *Stream, label string) (found [][2]int, endInString bool) {
+	n := NewNeedle([]byte(`"` + label + `"`))
+	for from := 0; ; {
+		k, v, ok := SeekLabelPattern(s, from, &n)
+		if !ok {
+			return found, s.SeekEndedInString()
+		}
+		found = append(found, [2]int{k, v})
+		from = v
+	}
+}
+
+// refSeekWalk is seekWalk's oracle, built on refSeekLabel and refQuoteScan.
+func refSeekWalk(data []byte, label string) (found [][2]int, endInString bool) {
+	for from := 0; ; {
+		k, v, ok := refSeekLabel(data, from, []byte(label))
+		if !ok {
+			break
+		}
+		found = append(found, [2]int{k, v})
+		from = v
+	}
+	if len(data) > 0 {
+		_, inString := refQuoteScan(data)
+		endInString = inString[len(data)-1]
+	}
+	return found, endInString
+}
+
+func equalFinds(a, b [][2]int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzSeekLabel holds the seeker to its scalar oracle on arbitrary bytes
+// and labels: every occurrence, walked the way the engine walks them, over
+// the in-memory input and over window-bounded inputs of 64, 256 and 4096
+// bytes fed in torn reads. A window violation (*input.Error) is the one
+// sanctioned divergence: a label too long for a tiny window defeats it by
+// design. Labels are cut to 40 bytes; seeds put keys across the 64-byte
+// block grid and the seeker's chunk edges.
+func FuzzSeekLabel(f *testing.F) {
+	f.Add([]byte(`{"x":"ab","ab":1}`), "ab")
+	f.Add([]byte(`{"x": "b", "note": "say \"b\": here", "b": 42}`), "b")
+	f.Add([]byte(`{"x\"y": 1, "k\\": {"x\"y": "x\"y"}}`), `x\"y`)
+	f.Add([]byte(`{"a:b": 1, "é": {"a:b": 2}}`), "é")
+	f.Add([]byte(`{"": 1, "e": {"": 2}}`), "")
+	for _, pad := range []int{20, 57, 60, 66, 120, 250, 500} {
+		doc := `{"p":"` + strings.Repeat("x", pad) + `","needle":[1],"q":"\"needle\": no",` +
+			strings.Repeat(" ", pad/3) + `"needle":{"needle":"needle"}}`
+		f.Add([]byte(doc), "needle")
+	}
+	f.Add([]byte(`{"`+strings.Repeat("k", 40)+`":1,"pad":"`+strings.Repeat("y", 300)+`","`+strings.Repeat("k", 40)+`":2}`),
+		strings.Repeat("k", 40))
+	f.Fuzz(func(t *testing.T, data []byte, label string) {
+		if len(label) > 40 {
+			label = label[:40]
+		}
+		want, wantEnd := refSeekWalk(data, label)
+		got, gotEnd := seekWalk(NewStream(data), label)
+		if !equalFinds(got, want) || (len(got) == len(want) && gotEnd != wantEnd) {
+			t.Fatalf("label %q on %q:\n  seeker: %v end-in-string=%v\n  oracle: %v end-in-string=%v",
+				label, data, got, gotEnd, want, wantEnd)
+		}
+		for _, window := range []int{64, 256, 4096} {
+			var bufGot [][2]int
+			var bufEnd bool
+			err := input.Guard(func() error {
+				in := input.NewBuffered(&chunkReader{data: data, n: 7}, window)
+				bufGot, bufEnd = seekWalk(NewStreamInput(in), label)
+				return nil
+			})
+			var winErr *input.Error
+			switch {
+			case errors.As(err, &winErr):
+			case err != nil:
+				t.Fatalf("label %q window %d on %q: %v", label, window, data, err)
+			case !equalFinds(bufGot, want) || bufEnd != wantEnd:
+				t.Fatalf("label %q window %d on %q:\n  buffered: %v end-in-string=%v\n  oracle: %v end-in-string=%v",
+					label, window, data, bufGot, bufEnd, want, wantEnd)
+			}
+		}
+	})
 }

@@ -358,6 +358,6 @@ func (s *Stream) KeyQuotes(colon int) (open, closing int, ok bool) {
 
 // SeekEndedInString reports whether the most recent label seek that ran out
 // of input did so with the quote parity open — i.e. the document ends in
-// the middle of a string. Only meaningful directly after SeekLabel/
-// SeekLabelPattern returned ok=false.
+// the middle of a string. Only meaningful directly after SeekLabelPattern
+// returned ok=false.
 func (s *Stream) SeekEndedInString() bool { return s.seekTailInString }

@@ -75,12 +75,13 @@ type Options struct {
 // Engine executes one compiled query over any number of documents. It is
 // safe for concurrent use: each Run gets its own state.
 type Engine struct {
-	dfa         *automaton.DFA
-	opts        Options
-	needsIndex  bool
-	tailSkip    bool
-	headLabel   []byte // non-nil when head-skip applies
-	headPattern []byte // the label in its quoted spelling, for the seeker
+	dfa        *automaton.DFA
+	opts       Options
+	needsIndex bool
+	tailSkip   bool
+	// headNeedle is the head label prepared for the seeker; non-nil when
+	// head-skip applies.
+	headNeedle *classifier.Needle
 }
 
 // New builds an engine for a compiled automaton.
@@ -95,9 +96,10 @@ func New(dfa *automaton.DFA, opts Options) *Engine {
 	init := &dfa.States[dfa.Initial]
 	if init.Waiting && !opts.DisableHeadSkip {
 		// The quoted seek pattern is built once at automaton compile time
-		// and shared by every engine over the same DFA.
-		e.headLabel = init.Labels[0].Label
-		e.headPattern = init.Labels[0].Pattern
+		// and shared by every engine over the same DFA; the needle's byte
+		// pair is chosen here, once per engine, not per seek or record.
+		n := classifier.NewNeedle(init.Labels[0].Pattern)
+		e.headNeedle = &n
 	}
 	return e
 }
@@ -252,7 +254,7 @@ func (r *run) document() error {
 	if r.dfa.States[init].Accepting {
 		r.emit(rootPos)
 	}
-	if r.e.headLabel != nil {
+	if r.e.headNeedle != nil {
 		return r.headSkipLoop(rootPos, c)
 	}
 	r.iter.Reset(rootPos + 1)
@@ -271,12 +273,12 @@ func (r *run) document() error {
 // ordinary algorithm inside the associated value. rootPos/rootCh locate the
 // document's composite root for the best-effort end-of-input validation.
 func (r *run) headSkipLoop(rootPos int, rootCh byte) error {
-	label := r.e.headLabel
-	target := r.dfa.Transition(r.dfa.Initial, label)
+	needle := r.e.headNeedle
+	target := r.dfa.Transition(r.dfa.Initial, needle.Label())
 	accepting := r.dfa.States[target].Accepting
 	from := 0
 	for {
-		_, valueAt, ok := classifier.SeekLabelPattern(r.stream, from, label, r.e.headPattern)
+		_, valueAt, ok := classifier.SeekLabelPattern(r.stream, from, needle)
 		if !ok {
 			return r.finishHeadSkip(rootPos, rootCh)
 		}

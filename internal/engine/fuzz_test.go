@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"strings"
 	"testing"
 
 	"rsonpath/internal/dom"
@@ -33,7 +34,12 @@ func FuzzEngineAgainstOracle(f *testing.F) {
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}
-	queries := []string{"$..a", "$.a.b", "$.a.*", "$..a..b", "$[0]", "$.*"}
+	f.Add([]byte(edgeSeed()))
+	f.Add([]byte(`{"k\"ey": {"key": {"b": 2}}, "x": "key", "key": [{"b": "\"key\":"}]}`))
+	// Multi-byte and escaped-quote labels reach the seeker's pair filter
+	// with a pair inside the label; one-byte labels pair with a quote.
+	queries := []string{"$..a", "$.a.b", "$.a.*", "$..a..b", "$[0]", "$.*",
+		"$..key", "$..key..b", `$..['k\"ey']`}
 	type variant struct {
 		e     *Engine
 		query string
@@ -100,6 +106,22 @@ func FuzzEngineAgainstOracle(f *testing.F) {
 			}
 		}
 	})
+}
+
+// edgeSeed is a document past two 64-byte blocks whose "key" keys
+// straddle the 32-, 64- and 128-byte edges: the AVX2 pair filter's vector
+// halves, its chunks, and a block boundary beyond the second chunk.
+func edgeSeed() string {
+	var sb strings.Builder
+	sb.WriteString(`{"p":"`)
+	for _, at := range []int{30, 62, 126} {
+		for sb.Len() < at-2 {
+			sb.WriteByte('x')
+		}
+		sb.WriteString(`","key":{"b":1},"q":"`)
+	}
+	sb.WriteString(`"}`)
+	return sb.String()
 }
 
 // FuzzQueryParser feeds arbitrary strings to the query parser: it must

@@ -170,3 +170,57 @@ popcntDone:
 	VZEROUPPER
 	MOVQ         AX, ret+16(FP)
 	RET
+
+// func pairMaskAVX2(p1, p2 *byte, chunks int, b1, b2 byte) (chunk int, mask uint64)
+// Packed-pair substring filter (simd.PairCandidates): per chunk of 64
+// anchors, compare the 64 bytes under each needle offset against that
+// offset's broadcast needle byte, AND the two compare results, and return
+// at the first chunk where any anchor survives. Y8/Y9 hold b1/b2.
+TEXT ·pairMaskAVX2(SB), NOSPLIT, $0-48
+	MOVQ    p1+0(FP), SI
+	MOVQ    p2+8(FP), DI
+	MOVQ    chunks+16(FP), CX
+	MOVBQZX b1+24(FP), AX
+	VMOVQ   AX, X7
+	VPBROADCASTB X7, Y8
+	MOVBQZX b2+25(FP), AX
+	VMOVQ   AX, X7
+	VPBROADCASTB X7, Y9
+	XORQ    DX, DX          // chunk index
+
+	TESTQ CX, CX
+	JZ    pairNone
+
+	PCALIGN $32
+
+pairLoop:
+	VPCMPEQB (SI), Y8, Y0
+	VPCMPEQB 32(SI), Y8, Y1
+	VPCMPEQB (DI), Y9, Y2
+	VPCMPEQB 32(DI), Y9, Y3
+	VPAND    Y2, Y0, Y0
+	VPAND    Y3, Y1, Y1
+	VPOR     Y1, Y0, Y2
+	VPTEST   Y2, Y2
+	JNZ      pairHit
+	ADDQ     $64, SI
+	ADDQ     $64, DI
+	INCQ     DX
+	CMPQ     DX, CX
+	JNE      pairLoop
+
+pairNone:
+	VZEROUPPER
+	MOVQ CX, chunk+32(FP)
+	MOVQ $0, mask+40(FP)
+	RET
+
+pairHit:
+	VPMOVMSKB Y0, AX
+	VPMOVMSKB Y1, BX
+	SHLQ      $32, BX
+	ORQ       BX, AX
+	VZEROUPPER
+	MOVQ      DX, chunk+32(FP)
+	MOVQ      AX, mask+40(FP)
+	RET

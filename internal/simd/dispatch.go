@@ -37,13 +37,16 @@ type backend struct {
 	batchRawMasks func(data []byte, backslash, quote, opens, closes, commas, colons []uint64) int
 	// popcountWords sums the set bits of a whole plane.
 	popcountWords func(p []uint64) int
+	// pairCandidates is the head-skip seeker's packed-pair prefilter.
+	pairCandidates func(hay, needle []byte, i1, i2 int) (base int, mask uint64)
 }
 
 var swarBackend = backend{
-	name:          "swar",
-	rawMasks:      rawMasksSWAR,
-	batchRawMasks: batchRawMasksSWAR,
-	popcountWords: popcountWordsSWAR,
+	name:           "swar",
+	rawMasks:       rawMasksSWAR,
+	batchRawMasks:  batchRawMasksSWAR,
+	popcountWords:  popcountWordsSWAR,
+	pairCandidates: pairCandidatesSWAR,
 }
 
 // backends holds every backend compiled in AND supported by this CPU, in

@@ -2,11 +2,12 @@ package simd
 
 import "math/bits"
 
-// AVX2 backend: the six-mask kernels from avx2_amd64.s behind Go wrappers
-// that own every bounds check (the assembly dereferences raw pointers and
-// trusts the lengths handed to it — see the asm invariants in DESIGN.md
-// §16). Registered by registerArch when CPUID says the CPU and OS support
-// AVX2; SWAR remains selectable via RSONPATH_SIMD=swar.
+// AVX2 backend: the six-mask kernels, the popcount and the pair filter
+// from avx2_amd64.s behind Go wrappers that own every bounds check (the
+// assembly dereferences raw pointers and trusts the lengths handed to it —
+// see the asm invariants in DESIGN.md §16). Registered by registerArch
+// when CPUID says the CPU and OS support AVX2; SWAR remains selectable via
+// RSONPATH_SIMD=swar.
 
 // cpuAVX2 is the one-time CPUID verdict, exposed for tests and CI gating.
 var cpuAVX2 = detectAVX2()
@@ -20,10 +21,11 @@ func registerArch() {
 }
 
 var avx2Backend = backend{
-	name:          "avx2",
-	rawMasks:      rawMasksAVX2Call,
-	batchRawMasks: batchRawMasksAVX2Call,
-	popcountWords: popcountWordsAVX2Call,
+	name:           "avx2",
+	rawMasks:       rawMasksAVX2Call,
+	batchRawMasks:  batchRawMasksAVX2Call,
+	popcountWords:  popcountWordsAVX2Call,
+	pairCandidates: pairCandidatesAVX2Call,
 }
 
 // rawMasksAVX2 classifies one 64-byte block as two YMM loads with six
@@ -45,6 +47,16 @@ func batchRawMasksAVX2(data *byte, n int, backslash, quote, opens, closes, comma
 //
 //go:noescape
 func popcountAVX2(p *uint64, lanes int) int64
+
+// pairMaskAVX2 runs the packed-pair filter over chunks full chunks of 64
+// anchors: p1 and p2 point at the haystack bytes under the first anchor's
+// two needle offsets, b1 and b2 are the needle's bytes there. It returns
+// the index of the first chunk with a candidate and that chunk's mask, or
+// (chunks, 0). It reads chunks*64 bytes from each pointer; the wrapper
+// enforces that.
+//
+//go:noescape
+func pairMaskAVX2(p1, p2 *byte, chunks int, b1, b2 byte) (chunk int, mask uint64)
 
 func rawMasksAVX2Call(b *Block) (backslash, quote, opens, closes, commas, colons uint64) {
 	var out [6]uint64
@@ -81,4 +93,22 @@ func popcountWordsAVX2Call(p []uint64) int {
 		total += bits.OnesCount64(p[i])
 	}
 	return total
+}
+
+func pairCandidatesAVX2Call(hay, needle []byte, i1, i2 int) (int, uint64) {
+	anchors := len(hay) - len(needle) + 1
+	if anchors <= 0 {
+		return 0, 0
+	}
+	b1, b2 := needle[i1], needle[i2]
+	full := anchors &^ (BlockSize - 1) // the anchors of whole chunks
+	if full > 0 {
+		// The kernel reads full bytes from each offset; the reslices prove
+		// both runs lie within hay before a pointer is formed.
+		p1, p2 := hay[i1:i1+full], hay[i2:i2+full]
+		if chunk, mask := pairMaskAVX2(&p1[0], &p2[0], full/BlockSize, b1, b2); mask != 0 {
+			return chunk * BlockSize, mask
+		}
+	}
+	return pairTail(hay, needle, i1, i2, full, anchors)
 }

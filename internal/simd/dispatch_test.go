@@ -183,6 +183,7 @@ func TestBackendMaskEquivalence(t *testing.T) {
 // FuzzBackendEquivalence pins every compiled-in backend to the SWAR
 // reference bit-for-bit on arbitrary bytes — the correctness anchor for the
 // hand-written assembly, including block-boundary and partial-tail inputs.
+// It covers the six-mask kernels and the pair filter's candidate masks.
 func FuzzBackendEquivalence(f *testing.F) {
 	for _, data := range batchTestInputs() {
 		f.Add(data)
@@ -191,6 +192,7 @@ func FuzzBackendEquivalence(f *testing.F) {
 		for _, name := range Backends() {
 			withBackend(t, name, func(t *testing.T) {
 				checkBackendMasks(t, data)
+				checkBackendPairs(t, data)
 			})
 		}
 	})
