@@ -6,7 +6,6 @@ import (
 	"rsonpath/internal/classifier"
 	"rsonpath/internal/engine"
 	"rsonpath/internal/input"
-	"rsonpath/internal/supervisor"
 )
 
 // IndexedDocument is a document classified once and queried many times: the
@@ -122,7 +121,11 @@ func (q *Query) RunIndexedSupervised(ctx context.Context, doc *IndexedDocument, 
 		return q.RunSupervised(ctx, doc.data, emit)
 	}
 	var buf []int
-	primary := supervisor.Attempt{Engine: q.kind.String(), Atomic: true, Run: func(context.Context) error {
+	var fallback func() error
+	if q.oracle != nil {
+		fallback = func() error { return q.runOracle(doc.data, &buf, 0) }
+	}
+	oc, err := q.sup.ladder(ctx, q.kind.String(), true, func(context.Context) error {
 		buf = buf[:0]
 		if err := q.limits.checkDocBytes(len(doc.data)); err != nil {
 			return err
@@ -130,8 +133,7 @@ func (q *Query) RunIndexedSupervised(ctx context.Context, doc *IndexedDocument, 
 		return guardRun(q.kind.String(), func() error {
 			return e.RunPlanes(doc.in, doc.planes, q.limits.limitEmit(func(pos int) { buf = append(buf, pos) }))
 		})
-	}}
-	oc, err := q.sup.run(ctx, primary, q.oracleAttempt(doc.data, &buf, 0))
+	}, fallback)
 	return deliver(oc, err, buf, emit)
 }
 

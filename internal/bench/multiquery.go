@@ -86,16 +86,6 @@ var MultiSpecs = []MultiSpec{
 	}},
 }
 
-// MultiSpecByID finds a multi-query workload.
-func MultiSpecByID(id string) (MultiSpec, bool) {
-	for _, s := range MultiSpecs {
-		if s.ID == id {
-			return s, true
-		}
-	}
-	return MultiSpec{}, false
-}
-
 // MultiResult is one multi-query measurement, serialisable as the
 // machine-readable BENCH_multiquery.json record.
 type MultiResult struct {

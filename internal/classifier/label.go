@@ -74,7 +74,14 @@ func (n *Needle) Label() []byte { return n.pattern[1 : len(n.pattern)-1] }
 //
 // ok is false when no further occurrence exists.
 func SeekLabelPattern(s *Stream, from int, n *Needle) (keyAt, valueAt int, ok bool) {
-	pattern, label := n.pattern, n.Label()
+	pattern := n.pattern
+	// An occurrence can be a key only when the pattern's closing quote is
+	// not escaped, which depends on the label alone: it is escaped when
+	// the label ends in an odd run of backslashes.
+	keyable := true
+	for i := len(pattern) - 2; i > 0 && pattern[i] == '\\'; i-- {
+		keyable = !keyable
+	}
 	in := s.Input()
 	chunkSize := in.Window()
 	if chunkSize != 0 {
@@ -138,13 +145,15 @@ refetch:
 					// The candidate's first quote closes a string.
 					inString = false
 				default:
-					// The candidate's first quote opens a string whose
-					// content begins with the label: verify closing quote
-					// and colon.
+					// The candidate's first quote opens a string holding
+					// the label, which bytes.Equal matched up to the
+					// closing quote: verify the colon and the value.
 					cand := pos + ci
-					if vs, match := verifyKey(in, cand, label); match {
-						s.JumpTo(vs)
-						return cand, vs, true
+					if keyable {
+						if vs, match := valueAfterKey(in, cand+len(pattern)); match {
+							s.JumpTo(vs)
+							return cand, vs, true
+						}
 					}
 					// Not a key (value string, longer key, or escaped
 					// closing quote). Step inside the string and resume;
@@ -227,7 +236,14 @@ func verifyKey(in input.Input, q int, label []byte) (valueAt int, ok bool) {
 	if bs%2 == 1 {
 		return 0, false
 	}
-	i := skipWhitespace(in, end+1)
+	return valueAfterKey(in, end+1)
+}
+
+// valueAfterKey checks that, from offset i just past a key's closing
+// quote, only whitespace precedes a colon and a value byte follows it
+// (after whitespace). It returns the offset of the value's first byte.
+func valueAfterKey(in input.Input, i int) (valueAt int, ok bool) {
+	i = skipWhitespace(in, i)
 	if b, okb := in.ByteAt(i); !okb || b != ':' {
 		return 0, false
 	}

@@ -33,28 +33,20 @@ type Frame struct {
 type Stack struct {
 	frames []Frame
 	inline [InlineFrames]Frame
-	spill  bool
 }
 
 // Reset empties the stack, retaining the inline storage.
 func (s *Stack) Reset() {
 	s.frames = s.inline[:0]
-	s.spill = false
 }
 
 // Len returns the number of frames.
 func (s *Stack) Len() int { return len(s.frames) }
 
-// Spilled reports whether the stack ever outgrew its inline storage.
-func (s *Stack) Spilled() bool { return s.spill }
-
 // Push records a state change that happened at the given depth.
 func (s *Stack) Push(state, depth int) {
 	if s.frames == nil {
 		s.frames = s.inline[:0]
-	}
-	if len(s.frames) == cap(s.frames) {
-		s.spill = true
 	}
 	s.frames = append(s.frames, Frame{State: state, Depth: depth})
 }

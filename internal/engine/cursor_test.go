@@ -119,7 +119,7 @@ func TestCursorEdgesAgainstOracle(t *testing.T) {
 // enabled, skipping every third subtree the way a rejected child is
 // skipped, and holds the label the run reads at every opener and colon —
 // from the window's Quote plane, or by the fallback byte walk — to
-// LabelBefore's, over each input.
+// labelBeforeInput's, over each input.
 func TestCursorLabelsMatchByteWalk(t *testing.T) {
 	for _, doc := range cursorEdgeDocs() {
 		data := []byte(doc)
@@ -142,7 +142,7 @@ func TestCursorLabelsMatchByteWalk(t *testing.T) {
 			err := input.Guard(func() error {
 				in, s := open()
 				defer s.Release()
-				r := &run{in: in, data: input.Contiguous(in), stream: s}
+				r := &docRun{in: in, data: input.Contiguous(in), stream: s}
 				it := classifier.NewStructural(s, 0)
 				it.SetCommas(true)
 				it.SetColons(true)
@@ -154,7 +154,7 @@ func TestCursorLabelsMatchByteWalk(t *testing.T) {
 					switch ch {
 					case '{', '[':
 						label, has, lok := r.labelBefore(pos)
-						wl, wh, wok := LabelBefore(in, pos)
+						wl, wh, wok := labelBeforeInput(in, pos)
 						if !bytes.Equal(label, wl) || has != wh || lok != wok {
 							return fmt.Errorf("opener at %d: label %q,%v,%v, byte walk %q,%v,%v", pos, label, has, lok, wl, wh, wok)
 						}
@@ -167,7 +167,7 @@ func TestCursorLabelsMatchByteWalk(t *testing.T) {
 						}
 					case ':':
 						label, lok := r.keyBefore(pos)
-						wl, _, wok := LabelBefore(in, pos+1)
+						wl, _, wok := labelBeforeInput(in, pos+1)
 						if !bytes.Equal(label, wl) || lok != wok {
 							return fmt.Errorf("colon at %d: key %q,%v, byte walk %q,%v", pos, label, lok, wl, wok)
 						}

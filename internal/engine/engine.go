@@ -86,12 +86,7 @@ type Engine struct {
 
 // New builds an engine for a compiled automaton.
 func New(dfa *automaton.DFA, opts Options) *Engine {
-	e := &Engine{dfa: dfa, opts: opts}
-	for s := range dfa.States {
-		if dfa.States[s].NeedsIndexInArray {
-			e.needsIndex = true
-		}
-	}
+	e := &Engine{dfa: dfa, opts: opts, needsIndex: needsIndex(dfa)}
 	e.tailSkip = opts.EnableTailSkip && !e.needsIndex
 	init := &dfa.States[dfa.Initial]
 	if init.Waiting && !opts.DisableHeadSkip {
@@ -116,9 +111,6 @@ func CompileQuery(query string, opts Options) (*Engine, error) {
 	}
 	return New(dfa, opts), nil
 }
-
-// Automaton returns the engine's compiled automaton.
-func (e *Engine) Automaton() *automaton.DFA { return e.dfa }
 
 // Count runs the query and returns the number of matches.
 func (e *Engine) Count(data []byte) (int, error) {
@@ -160,10 +152,8 @@ func (e *Engine) RunPlanes(in input.Input, planes *classifier.Planes, emit func(
 
 func (e *Engine) runInput(in input.Input, planes *classifier.Planes, emit func(pos int)) error {
 	return input.Guard(func() error {
-		if max := e.opts.MaxDocBytes; max > 0 {
-			if n := in.Len(); n >= 0 && n > max {
-				return errs.DocBytesLimit(max, max)
-			}
+		if err := checkDocBytes(in, e.opts.MaxDocBytes); err != nil {
+			return err
 		}
 		r := runPool.Get().(*run)
 		defer func() {
@@ -173,7 +163,7 @@ func (e *Engine) runInput(in input.Input, planes *classifier.Planes, emit func(p
 			*r = run{} // drop the caller's input and callback
 			runPool.Put(r)
 		}()
-		*r = run{e: e, dfa: e.dfa, in: in, data: input.Contiguous(in), emit: emit}
+		*r = run{e: e, dfa: e.dfa, docRun: newDocRun(in, e.opts.MaxDepth, e.needsIndex), emit: emit}
 		if planes != nil {
 			r.stream = classifier.NewStreamPlanes(in, planes)
 		} else {
@@ -184,35 +174,64 @@ func (e *Engine) runInput(in input.Input, planes *classifier.Planes, emit func(p
 	})
 }
 
+// checkDocBytes enforces Options.MaxDocBytes (max) up front, for inputs
+// whose length is known.
+func checkDocBytes(in input.Input, max int) error {
+	if max > 0 {
+		if n := in.Len(); n >= 0 && n > max {
+			return errs.DocBytesLimit(max, max)
+		}
+	}
+	return nil
+}
+
 // runPool recycles per-run state: a run carries the depth-stack's inline
 // frames (a few KiB), which would otherwise become garbage on every run.
 var runPool = sync.Pool{New: func() any { return new(run) }}
 
-// run is the per-document execution state.
+// run is the per-document execution state of one query.
 type run struct {
-	e      *Engine
-	dfa    *automaton.DFA
-	in     input.Input
-	data   []byte // the whole document over an in-memory input, else nil
-	stream *classifier.Stream
-	iter   classifier.Structural
-	emit   func(int)
+	e   *Engine
+	dfa *automaton.DFA
+	docRun
+	emit func(int)
 
-	stack   depthstack.Stack    // (state, depth) frames — the depth-stack
-	kinds   depthstack.KindMap  // element kind per depth: true = object
-	indices depthstack.IntStack // entry index per open array (index queries)
+	stack depthstack.Stack // (state, depth) frames — the depth-stack
 
 	tailEnd int // subtree end position recorded by tailStep
 }
 
-func (r *run) errMalformed(pos int, why string) error {
-	return &errs.Malformed{Sentinel: ErrMalformed, Offset: pos, Kind: why}
+// docRun is the document side of a run, shared by the single-query loop
+// (run) and the set loop (setRun): the input, the classification stream and
+// its structural cursor, and the trackers of the document's own structure,
+// with the checks, key lookups and skip actions over them. It knows no
+// automaton.
+type docRun struct {
+	in      input.Input
+	data    []byte // the whole document over an in-memory input, else nil
+	stream  *classifier.Stream
+	iter    classifier.Structural
+	kinds   depthstack.KindMap  // element kind per depth: true = object
+	indices depthstack.IntStack // entry index per open array (index queries)
+
+	maxDepth   int  // Options.MaxDepth
+	needsIndex bool // some automaton counts array entries: indices is kept
+}
+
+// newDocRun prepares the document side of a run over in; the caller opens
+// the stream.
+func newDocRun(in input.Input, maxDepth int, needsIndex bool) docRun {
+	return docRun{in: in, data: input.Contiguous(in), maxDepth: maxDepth, needsIndex: needsIndex}
+}
+
+func (r *docRun) errMalformed(pos int, why string) error {
+	return errMalformedAt(pos, why)
 }
 
 // checkDepth enforces Options.MaxDepth at the points where the walked
 // nesting grows (and with it the engine's kind map and depth-stack).
-func (r *run) checkDepth(depth, pos int) error {
-	if max := r.e.opts.MaxDepth; max > 0 && depth > max {
+func (r *docRun) checkDepth(depth, pos int) error {
+	if max := r.maxDepth; max > 0 && depth > max {
 		return errs.DepthLimit(max, pos)
 	}
 	return nil
@@ -220,7 +239,7 @@ func (r *run) checkDepth(depth, pos int) error {
 
 // endPos is the document length for end-of-input diagnostics; by the time
 // the end has been hit, every input knows its length.
-func (r *run) endPos() int {
+func (r *docRun) endPos() int {
 	if n := r.in.Len(); n >= 0 {
 		return n
 	}
@@ -229,22 +248,18 @@ func (r *run) endPos() int {
 
 // document dispatches on the root value and the head-skip eligibility.
 func (r *run) document() error {
-	rootPos := FirstNonWS(r.in, 0)
+	rootPos := firstNonWS(r.in, 0)
 	c, ok := r.in.ByteAt(rootPos)
 	if !ok {
 		return r.errMalformed(0, "empty input")
 	}
 	init := r.dfa.Initial
 	if c != '{' && c != '[' {
-		// Atomic root: validate the lone scalar lexically and reject any
-		// trailing content before reporting a match. No key can exist
-		// outside an object, so head-skip queries cannot match either way.
-		end, bad := input.AtomSpan(r.in, rootPos)
-		if bad != "" {
-			return r.errMalformed(end, bad)
-		}
-		if p, found := input.TrailingContent(r.in, end); found {
-			return r.errMalformed(p, "trailing content")
+		// Atomic root: validate the lone scalar before reporting a match.
+		// No key can exist outside an object, so head-skip queries cannot
+		// match either way.
+		if err := r.checkAtom(rootPos); err != nil {
+			return err
 		}
 		if r.dfa.States[init].Accepting {
 			r.emit(rootPos)
@@ -262,8 +277,49 @@ func (r *run) document() error {
 	if err != nil {
 		return err
 	}
-	if p, found := input.TrailingContent(r.in, end+1); found {
+	return r.checkTrailing(end + 1)
+}
+
+// checkAtom validates a document whose root at pos is a scalar: the lone
+// value must be lexically complete, with nothing but whitespace after it.
+func (r *docRun) checkAtom(pos int) error {
+	end, bad := input.AtomSpan(r.in, pos)
+	if bad != "" {
+		return r.errMalformed(end, bad)
+	}
+	return r.checkTrailing(end)
+}
+
+// checkTrailing rejects anything but whitespace from end on.
+func (r *docRun) checkTrailing(end int) error {
+	if p, found := input.TrailingContent(r.in, end); found {
 		return r.errMalformed(p, "trailing content")
+	}
+	return nil
+}
+
+// skipValue fast-forwards over the composite value that ch opens at pos,
+// resuming the cursor past its closer.
+func (r *docRun) skipValue(pos int, ch byte) error {
+	end, ok := classifier.SkipToClose(r.stream, pos+1, ch)
+	if !ok {
+		return r.errMalformed(pos, "unterminated value")
+	}
+	r.iter.Reset(end + 1)
+	return nil
+}
+
+// skipSiblings fast-forwards past the remaining siblings after the event at
+// pos, leaving the parent's closer as the next event. When the next event
+// already is a closing character it must be that closer (no deeper one can
+// precede an opening), so the fast-forward would be pure overhead.
+func (r *docRun) skipSiblings(pos int) error {
+	if _, nch, ok := r.iter.Peek(); ok && nch != '}' && nch != ']' {
+		end, ok := classifier.SkipToClose(r.stream, pos+1, '{')
+		if !ok {
+			return r.errMalformed(pos, "unterminated object")
+		}
+		r.iter.Reset(end)
 	}
 	return nil
 }
@@ -289,7 +345,7 @@ func (r *run) headSkipLoop(rootPos int, rootCh byte) error {
 		if c != '{' && c != '[' {
 			// Leaf value: resume seeking after it (the seeker requires a
 			// resumption point outside any string).
-			from = LeafEnd(r.in, valueAt)
+			from = leafEnd(r.in, valueAt)
 			continue
 		}
 		if r.dfa.States[target].Rejecting {
@@ -327,7 +383,7 @@ func (r *run) finishHeadSkip(rootPos int, rootCh byte) error {
 	if rootCh == '[' {
 		closer = ']'
 	}
-	last, ok := LastNonWS(r.in)
+	last, ok := lastNonWS(r.in)
 	if !ok || last <= rootPos {
 		return r.errMalformed(r.endPos(), "unterminated document")
 	}
@@ -411,11 +467,9 @@ func (r *run) subtree(state automaton.StateID, openPos int, openCh byte) (endPos
 				target = r.arrayEntryTarget(state, r.currentIndex())
 			}
 			if r.dfa.States[target].Rejecting && !r.e.opts.DisableSkipChildren {
-				end, ok := classifier.SkipToClose(r.stream, pos+1, ch)
-				if !ok {
-					return 0, r.errMalformed(pos, "unterminated value")
+				if err := r.skipValue(pos, ch); err != nil {
+					return 0, err
 				}
-				r.iter.Reset(end + 1)
 				continue
 			}
 			if target != state {
@@ -464,16 +518,9 @@ func (r *run) subtree(state automaton.StateID, openPos int, openCh byte) (endPos
 				if childMatched && r.dfa.States[state].Unitary && !r.e.opts.DisableSkipSiblings {
 					// The matched unitary child just closed: no further
 					// sibling can match, so fast-forward to the parent's
-					// closer and let the main loop process it. When the
-					// next event is already a closing character it must be
-					// that closer (no deeper one can precede an opening),
-					// so the fast-forward would be pure overhead.
-					if _, nch, ok := r.iter.Peek(); ok && nch != '}' && nch != ']' {
-						end, ok := classifier.SkipToClose(r.stream, pos+1, '{')
-						if !ok {
-							return 0, r.errMalformed(pos, "unterminated object")
-						}
-						r.iter.Reset(end)
+					// closer and let the main loop process it.
+					if err := r.skipSiblings(pos); err != nil {
+						return 0, err
 					}
 					continue
 				}
@@ -492,8 +539,8 @@ func (r *run) subtree(state automaton.StateID, openPos int, openCh byte) (endPos
 			}
 			target := r.dfa.Transition(state, label)
 			if r.dfa.States[target].Accepting {
-				vs := FirstNonWS(r.in, pos+1)
-				if !PlausibleValueStart(r.in, vs) {
+				vs, ok := valueAfter(r.in, pos)
+				if !ok {
 					return 0, r.errMalformed(pos, "missing value")
 				}
 				r.emit(vs)
@@ -501,14 +548,9 @@ func (r *run) subtree(state automaton.StateID, openPos int, openCh byte) (endPos
 			if r.dfa.States[state].Unitary && !r.dfa.States[target].Rejecting &&
 				!r.e.opts.DisableSkipSiblings {
 				// The unitary label matched a leaf: skip the remaining
-				// siblings, leaving the parent's closer as the next event
-				// (unless it already is — see the Closing case).
-				if _, nch, ok := r.iter.Peek(); ok && nch != '}' && nch != ']' {
-					end, ok := classifier.SkipToClose(r.stream, pos+1, '{')
-					if !ok {
-						return 0, r.errMalformed(pos, "unterminated object")
-					}
-					r.iter.Reset(end)
+				// siblings.
+				if err := r.skipSiblings(pos); err != nil {
+					return 0, err
 				}
 			}
 
@@ -533,8 +575,8 @@ func (r *run) subtree(state automaton.StateID, openPos int, openCh byte) (endPos
 			}
 			target := r.arrayEntryTarget(state, r.currentIndex())
 			if r.dfa.States[target].Accepting {
-				vs := FirstNonWS(r.in, pos+1)
-				if !PlausibleValueStart(r.in, vs) {
+				vs, ok := valueAfter(r.in, pos)
+				if !ok {
 					continue // trailing comma or truncation: nothing to report
 				}
 				r.emit(vs)
@@ -567,18 +609,16 @@ func (r *run) tailStep(state automaton.StateID, depth int) (newState automaton.S
 			if r.dfa.States[target].Accepting {
 				r.emit(ev.ValueAt)
 			}
-			r.iter.Reset(LeafEnd(r.in, ev.ValueAt))
+			r.iter.Reset(leafEnd(r.in, ev.ValueAt))
 			return state, atDepth, false, nil
 		}
 		if r.dfa.States[target].Rejecting {
 			// Cannot happen for the supported grammar (the labelled
 			// transition of a waiting state always progresses), but stay
 			// defensive: skip the subtree.
-			end, ok := classifier.SkipToClose(r.stream, ev.ValueAt+1, c)
-			if !ok {
-				return state, depth, false, r.errMalformed(ev.ValueAt, "unterminated value")
+			if err := r.skipValue(ev.ValueAt, c); err != nil {
+				return state, depth, false, err
 			}
-			r.iter.Reset(end + 1)
 			return state, atDepth, false, nil
 		}
 		// Mirror the Opening case: enter the value.
@@ -611,12 +651,8 @@ func (r *run) tailStep(state automaton.StateID, depth int) (newState automaton.S
 		// a live waiting state), so the sibling skip applies when the
 		// restored state is unitary.
 		if r.dfa.States[restored].Unitary && !r.e.opts.DisableSkipSiblings {
-			if _, nch, ok := r.iter.Peek(); ok && nch != '}' && nch != ']' {
-				end, ok := classifier.SkipToClose(r.stream, ev.Pos+1, '{')
-				if !ok {
-					return state, depth, false, r.errMalformed(ev.Pos, "unterminated object")
-				}
-				r.iter.Reset(end)
+			if err := r.skipSiblings(ev.Pos); err != nil {
+				return state, depth, false, err
 			}
 			return restored, boundary, false, nil
 		}
@@ -628,10 +664,10 @@ func (r *run) tailStep(state automaton.StateID, depth int) (newState automaton.S
 	}
 }
 
-// labelBefore is LabelBefore for the run's own events.
-func (r *run) labelBefore(pos int) (label []byte, hasLabel, ok bool) {
+// labelBefore is labelBeforeInput for the run's own events.
+func (r *docRun) labelBefore(pos int) (label []byte, hasLabel, ok bool) {
 	if r.data == nil {
-		return LabelBefore(r.in, pos)
+		return labelBeforeInput(r.in, pos)
 	}
 	colon, ok := colonBefore(r.data, pos)
 	if colon < 0 || !ok {
@@ -645,10 +681,10 @@ func (r *run) labelBefore(pos int) (label []byte, hasLabel, ok bool) {
 // when there is none. Over an in-memory document it reads the key's quotes
 // from the window's Quote plane instead of walking the key's bytes back,
 // and walks them only when the window does not reach back that far.
-func (r *run) keyBefore(colon int) (label []byte, ok bool) {
+func (r *docRun) keyBefore(colon int) (label []byte, ok bool) {
 	data := r.data
 	if data == nil {
-		label, _, ok = LabelBefore(r.in, colon+1)
+		label, _, ok = labelBeforeInput(r.in, colon+1)
 		return label, ok
 	}
 	if open, closing, found := r.stream.KeyQuotes(colon); found && allWS(data[closing+1:colon]) {
@@ -659,8 +695,8 @@ func (r *run) keyBefore(colon int) (label []byte, ok bool) {
 
 // currentIndex returns the entry index of the array being scanned (0 when
 // index tracking is off).
-func (r *run) currentIndex() int {
-	if !r.e.needsIndex || r.indices.Len() == 0 {
+func (r *docRun) currentIndex() int {
+	if !r.needsIndex || r.indices.Len() == 0 {
 		return 0
 	}
 	return r.indices.Top()
@@ -677,13 +713,12 @@ func (r *run) tryMatchFirstItem(state automaton.StateID, openPos int) {
 	if _, nch, ok := r.iter.Peek(); !ok || nch == '{' || nch == '[' {
 		return // composite first entry (or malformed): Opening handles it
 	}
-	vs := FirstNonWS(r.in, openPos+1)
-	if !PlausibleValueStart(r.in, vs) {
+	vs, ok := valueAfter(r.in, openPos)
+	if !ok {
 		return // empty array or malformed input
 	}
 	r.emit(vs)
 }
 
-// The scalar scanning helpers (LabelBefore, FirstNonWS, LeafEnd,
-// PlausibleValueStart) shared with the stackless engine and the multi-query
-// driver live in scan.go.
+// The scalar scanning helpers (labelBeforeInput, firstNonWS, valueAfter,
+// leafEnd) shared with the stackless engine live in scan.go.

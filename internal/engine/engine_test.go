@@ -459,16 +459,6 @@ func TestRandomizedIndexDifferential(t *testing.T) {
 	}
 }
 
-func TestAutomatonAccessor(t *testing.T) {
-	e, err := CompileQuery("$.a", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Automaton() == nil || e.Automaton().Query().String() != "$.a" {
-		t.Fatal("Automaton accessor broken")
-	}
-}
-
 func TestCompileQueryErrors(t *testing.T) {
 	if _, err := CompileQuery("not a query", Options{}); err == nil {
 		t.Fatal("bad syntax accepted")

@@ -5,8 +5,8 @@ import (
 )
 
 // Scalar document-scanning helpers shared by the single-query run loop, the
-// stackless engine, and the multi-query driver (internal/multiquery). These
-// are the rare per-event scalar verifications the paper performs outside the
+// set loop and the stackless engine. These are the rare per-event scalar
+// verifications the paper performs outside the
 // SIMD pipeline (§3.4): label backtracking, value-start plausibility, and
 // leaf delimitation.
 //
@@ -17,23 +17,19 @@ import (
 // retains surfaces as a window-violation panic, converted to an error at
 // the Run boundary).
 
-// PlausibleValueStart reports whether the byte at offset i can begin a JSON
-// value; it guards emissions against truncated input and trailing commas.
-func PlausibleValueStart(in input.Input, i int) bool {
-	b, ok := in.ByteAt(i)
-	if !ok {
-		return false
-	}
-	switch b {
-	case ',', ':', ']', '}':
-		return false
-	}
-	return true
+// valueAfter returns the offset of the first non-whitespace byte after the
+// comma, colon or opening bracket at pos, and whether a JSON value can begin
+// there; it guards emissions against truncated input, empty arrays and
+// trailing commas.
+func valueAfter(in input.Input, pos int) (vs int, ok bool) {
+	vs = firstNonWS(in, pos+1)
+	b, ok := in.ByteAt(vs)
+	return vs, ok && b != ',' && b != ':' && b != ']' && b != '}'
 }
 
-// FirstNonWS returns the first offset at or after i with a non-whitespace
+// firstNonWS returns the first offset at or after i with a non-whitespace
 // byte, or the document length.
-func FirstNonWS(in input.Input, i int) int {
+func firstNonWS(in input.Input, i int) int {
 	if data := input.Contiguous(in); data != nil {
 		for i < len(data) {
 			switch data[i] {
@@ -59,13 +55,13 @@ func FirstNonWS(in input.Input, i int) int {
 	}
 }
 
-// LabelBefore backtracks from the position of an opening character (or of
+// labelBeforeInput backtracks from the position of an opening character (or of
 // the byte just past a label's colon) to the label it belongs to (§3.4's
 // get_label()). It returns hasLabel=false for array entries (artificial
 // label) and ok=false when the document is malformed. The returned slice
 // aliases the input's storage and holds the raw key bytes, escapes
 // included; it is valid only until the next access to the input.
-func LabelBefore(in input.Input, pos int) (label []byte, hasLabel, ok bool) {
+func labelBeforeInput(in input.Input, pos int) (label []byte, hasLabel, ok bool) {
 	if data := input.Contiguous(in); data != nil {
 		return labelBeforeSlice(data, pos)
 	}
@@ -112,7 +108,7 @@ func LabelBefore(in input.Input, pos int) (label []byte, hasLabel, ok bool) {
 	}
 }
 
-// labelBeforeSlice is LabelBefore's original in-memory scan.
+// labelBeforeSlice is labelBeforeInput's in-memory scan.
 func labelBeforeSlice(data []byte, pos int) (label []byte, hasLabel, ok bool) {
 	colon, ok := colonBefore(data, pos)
 	if colon < 0 || !ok {
@@ -217,12 +213,12 @@ func isWS(b byte) bool {
 	return b == ' ' || b == '\t' || b == '\n' || b == '\r'
 }
 
-// LastNonWS scans backward from the end of the document and returns the
+// lastNonWS scans backward from the end of the document and returns the
 // offset of the last non-whitespace byte. ok=false when none exists within
 // the input's retained look-behind (an all-whitespace tail wider than the
 // window cannot be verified). Only valid once the input's end has been
 // observed (Len() ≥ 0).
-func LastNonWS(in input.Input) (pos int, ok bool) {
+func lastNonWS(in input.Input) (pos int, ok bool) {
 	i := in.Len()
 	floor := in.Retained()
 	for i > floor {
@@ -241,8 +237,8 @@ func LastNonWS(in input.Input) (pos int, ok bool) {
 	return 0, false
 }
 
-// LeafEnd returns the offset just past the atomic value starting at pos.
-func LeafEnd(in input.Input, pos int) int {
+// leafEnd returns the offset just past the atomic value starting at pos.
+func leafEnd(in input.Input, pos int) int {
 	if data := input.Contiguous(in); data != nil {
 		return leafEndSlice(data, pos)
 	}
@@ -287,7 +283,7 @@ func LeafEnd(in input.Input, pos int) int {
 	}
 }
 
-// leafEndSlice is LeafEnd's original in-memory scan.
+// leafEndSlice is leafEnd's in-memory scan.
 func leafEndSlice(data []byte, pos int) int {
 	if data[pos] == '"' {
 		i := pos + 1

@@ -1,4 +1,4 @@
-package multiquery
+package engine
 
 import (
 	"errors"
@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"rsonpath/internal/automaton"
-	"rsonpath/internal/engine"
 	"rsonpath/internal/jsongen"
 	"rsonpath/internal/jsonpath"
 )
@@ -24,7 +23,7 @@ func compileSet(t *testing.T, queries []string) *Set {
 			t.Fatalf("compile %s: %v", src, err)
 		}
 	}
-	return New(dfas)
+	return NewSet(dfas, 0, 0)
 }
 
 func runSet(t *testing.T, s *Set, data []byte) [][]int {
@@ -36,10 +35,10 @@ func runSet(t *testing.T, s *Set, data []byte) [][]int {
 	return out
 }
 
-// TestDifferentialAgainstEngine runs query sets over the synthetic
+// TestSetDifferentialAgainstEngine runs query sets over the synthetic
 // benchmark documents and requires byte-identical per-query match offsets
 // between the shared pass and N independent engine runs.
-func TestDifferentialAgainstEngine(t *testing.T) {
+func TestSetDifferentialAgainstEngine(t *testing.T) {
 	cases := []struct {
 		dataset string
 		queries []string
@@ -79,7 +78,7 @@ func TestDifferentialAgainstEngine(t *testing.T) {
 			set := compileSet(t, c.queries)
 			got := runSet(t, set, data)
 			for i, src := range c.queries {
-				e, err := engine.CompileQuery(src, engine.Options{})
+				e, err := CompileQuery(src, Options{})
 				if err != nil {
 					t.Fatalf("engine compile %s: %v", src, err)
 				}
@@ -95,7 +94,7 @@ func TestDifferentialAgainstEngine(t *testing.T) {
 	}
 }
 
-func TestEmptyAndAtomicDocuments(t *testing.T) {
+func TestSetEmptyAndAtomicDocuments(t *testing.T) {
 	set := compileSet(t, []string{"$.a", "$..b"})
 	for _, doc := range []string{"", "   ", "\n\t"} {
 		n := 0
@@ -114,8 +113,8 @@ func TestEmptyAndAtomicDocuments(t *testing.T) {
 	}
 }
 
-func TestEmptySetRuns(t *testing.T) {
-	set := New(nil)
+func TestSetEmptyRuns(t *testing.T) {
+	set := NewSet(nil, 0, 0)
 	if err := set.Run([]byte(`{"a": 1}`), func(int, int) {
 		t.Fatal("emit on empty set")
 	}); err != nil {
@@ -123,7 +122,7 @@ func TestEmptySetRuns(t *testing.T) {
 	}
 }
 
-func TestDocumentOrderAcrossQueries(t *testing.T) {
+func TestSetDocumentOrderAcrossQueries(t *testing.T) {
 	set := compileSet(t, []string{"$..b", "$..a"})
 	doc := []byte(`{"a": 1, "b": {"a": 2}}`)
 	var trace []string
@@ -139,11 +138,11 @@ func TestDocumentOrderAcrossQueries(t *testing.T) {
 	}
 }
 
-func TestMalformedInput(t *testing.T) {
+func TestSetMalformedInput(t *testing.T) {
 	set := compileSet(t, []string{"$.a.b", "$..c"})
 	for _, doc := range []string{`{"a": {`, `{"a": [1, 2`, `[`} {
 		err := set.Run([]byte(doc), func(int, int) {})
-		if !errors.Is(err, engine.ErrMalformed) {
+		if !errors.Is(err, ErrMalformed) {
 			t.Errorf("doc %q: error %v, want ErrMalformed", doc, err)
 		}
 	}

@@ -93,7 +93,7 @@ func (e *Stackless) RunInput(in input.Input, emit func(pos int)) error {
 }
 
 func (e *Stackless) runInput(in input.Input, emit func(pos int)) error {
-	rootPos := FirstNonWS(in, 0)
+	rootPos := firstNonWS(in, 0)
 	c, ok := in.ByteAt(rootPos)
 	if !ok {
 		return errMalformedAt(0, "empty input")
@@ -137,7 +137,7 @@ func (e *Stackless) runInput(in input.Input, emit func(pos int)) error {
 		}
 		switch ch {
 		case '{', '[':
-			label, hasLabel, lok := LabelBefore(in, pos)
+			label, hasLabel, lok := labelBeforeInput(in, pos)
 			if !lok {
 				return errMalformedAt(pos, "cannot locate label")
 			}
@@ -178,15 +178,15 @@ func (e *Stackless) runInput(in input.Input, emit func(pos int)) error {
 			if _, nch, ok := iter.Peek(); ok && (nch == '{' || nch == '[') {
 				continue // composite value: handled at its opening
 			}
-			label, hasLabel, lok := LabelBefore(in, pos+1)
+			label, hasLabel, lok := labelBeforeInput(in, pos+1)
 			if !lok || !hasLabel {
 				return errMalformedAt(pos, "colon without label")
 			}
 			// Only enabled when state >= n: a leaf can complete the query
 			// but cannot host deeper matches.
 			if bytesEq(label, e.labels[n-1]) {
-				vs := FirstNonWS(in, pos+1)
-				if !PlausibleValueStart(in, vs) {
+				vs, ok := valueAfter(in, pos)
+				if !ok {
 					return errMalformedAt(pos, "missing value")
 				}
 				emit(vs)
@@ -208,6 +208,5 @@ func bytesEq(a, b []byte) bool {
 }
 
 func errMalformedAt(pos int, why string) error {
-	r := &run{}
-	return r.errMalformed(pos, why)
+	return &errs.Malformed{Sentinel: ErrMalformed, Offset: pos, Kind: why}
 }

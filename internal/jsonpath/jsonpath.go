@@ -156,37 +156,6 @@ func (q *Query) String() string {
 	return b.String()
 }
 
-// HasDescendant reports whether any selector is a descendant selector.
-func (q *Query) HasDescendant() bool {
-	for i := range q.Selectors {
-		if q.Selectors[i].Descendant {
-			return true
-		}
-	}
-	return false
-}
-
-// HasIndex reports whether any selector matches by array position
-// (index or slice).
-func (q *Query) HasIndex() bool {
-	for i := range q.Selectors {
-		if q.Selectors[i].SelectsIndices() {
-			return true
-		}
-	}
-	return false
-}
-
-// HasUnion reports whether any selector is a union.
-func (q *Query) HasUnion() bool {
-	for i := range q.Selectors {
-		if q.Selectors[i].IsUnion() {
-			return true
-		}
-	}
-	return false
-}
-
 // Labels returns the distinct concrete labels used by the query, in first-
 // occurrence order.
 func (q *Query) Labels() [][]byte {

@@ -258,19 +258,6 @@ func TestStringRoundTrip(t *testing.T) {
 }
 
 func TestQueryHelpers(t *testing.T) {
-	q := MustParse("$.a..b.*")
-	if !q.HasDescendant() {
-		t.Error("HasDescendant false")
-	}
-	if MustParse("$.a.b").HasDescendant() {
-		t.Error("HasDescendant true for child-only query")
-	}
-	if !MustParse("$.a[0]").HasIndex() {
-		t.Error("HasIndex false")
-	}
-	if MustParse("$.a.b").HasIndex() {
-		t.Error("HasIndex true")
-	}
 	labels := MustParse("$.a..b.a.c").Labels()
 	if len(labels) != 3 || string(labels[0]) != "a" || string(labels[1]) != "b" || string(labels[2]) != "c" {
 		t.Errorf("Labels() = %q", labels)
@@ -314,12 +301,6 @@ func TestParseUnionErrors(t *testing.T) {
 
 func TestUnionHelpers(t *testing.T) {
 	q := MustParse("$['a','b',3]")
-	if !q.HasUnion() || !q.HasIndex() {
-		t.Error("union helpers wrong")
-	}
-	if MustParse("$.a.b").HasUnion() {
-		t.Error("HasUnion true for plain query")
-	}
 	sel := &q.Selectors[0]
 	if !sel.MatchesLabel([]byte("a")) || !sel.MatchesLabel([]byte("b")) || sel.MatchesLabel([]byte("c")) {
 		t.Error("MatchesLabel wrong")

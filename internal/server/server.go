@@ -133,8 +133,8 @@ type setRunner interface {
 	Len() int
 }
 
-// Server is one daemon instance. Create with New; Serve on a listener or
-// use ListenAndServe; stop with Shutdown.
+// Server is one daemon instance. Create with New, Listen, then Serve; stop
+// with Shutdown.
 type Server struct {
 	cfg      Config
 	cache    *rsonpath.QueryCache
@@ -365,14 +365,6 @@ func (s *Server) Serve() error {
 		return nil
 	}
 	return err
-}
-
-// ListenAndServe is Listen followed by Serve.
-func (s *Server) ListenAndServe() error {
-	if err := s.Listen(); err != nil {
-		return err
-	}
-	return s.Serve()
 }
 
 // Shutdown drains the daemon: the listener closes immediately, in-flight

@@ -7,9 +7,9 @@ import (
 
 	"rsonpath/internal/automaton"
 	"rsonpath/internal/classifier"
+	"rsonpath/internal/engine"
 	"rsonpath/internal/input"
 	"rsonpath/internal/jsonpath"
-	"rsonpath/internal/multiquery"
 )
 
 // setRunner is the execution surface QuerySet needs from the one-pass
@@ -82,8 +82,7 @@ func CompileSet(queries []string, opts ...Option) (*QuerySet, error) {
 		}
 	}
 	lim := c.resolveLimits()
-	set := multiquery.New(dfas)
-	set.Limits(lim.maxDepth, lim.maxDocBytes)
+	set := engine.NewSet(dfas, lim.maxDepth, lim.maxDocBytes)
 	return &QuerySet{sources: sources, parsed: parsedAll, set: set, window: c.window,
 		limits: lim, sup: c.resolveSupervision(), headSkip: allHeadSkip(parsedAll)}, nil
 }

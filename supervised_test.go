@@ -421,3 +421,149 @@ func FuzzSupervisorFallback(f *testing.F) {
 		}
 	})
 }
+
+// The ladder's own contract (supervision.ladder), with scripted attempts in
+// place of engines: errLadderInternal is degradable, errLadderFatal is not.
+var (
+	errLadderInternal = &InternalError{Engine: "fast", Offset: -1, Cause: "internal fault"}
+	errLadderFatal    = errors.New("fatal")
+)
+
+// ladderScript returns an attempt that yields the scripted errors in order
+// (sticking on the last one) and counts its runs.
+func ladderScript(runs *int, script ...error) func() error {
+	return func() error {
+		i := *runs
+		*runs++
+		if i >= len(script) {
+			i = len(script) - 1
+		}
+		return script[i]
+	}
+}
+
+// primaryScript is ladderScript for the primary, which takes a context.
+func primaryScript(runs *int, script ...error) func(context.Context) error {
+	run := ladderScript(runs, script...)
+	return func(context.Context) error { return run() }
+}
+
+func TestLadderCleanFirstAttempt(t *testing.T) {
+	runs := 0
+	o, err := supervision{}.ladder(context.Background(), "fast", false, primaryScript(&runs, nil), nil)
+	if err != nil || runs != 1 {
+		t.Fatalf("err %v runs %d", err, runs)
+	}
+	if o.Attempts != 1 || o.Engine != "fast" || o.Degraded() {
+		t.Fatalf("outcome %+v", o)
+	}
+	if o.Duration < 0 {
+		t.Fatalf("negative duration %v", o.Duration)
+	}
+}
+
+// TestLadderNonRetryableNotRetried: the ladder has no retry leg, so a failed
+// primary is terminal — it runs once and its error is the verdict.
+func TestLadderNonRetryableNotRetried(t *testing.T) {
+	runs := 0
+	o, err := supervision{}.ladder(context.Background(), "fast", false, primaryScript(&runs, errLadderFatal, nil), nil)
+	if !errors.Is(err, errLadderFatal) || runs != 1 || o.Attempts != 1 {
+		t.Fatalf("err %v runs %d attempts %d", err, runs, o.Attempts)
+	}
+}
+
+func TestLadderFallbackRescues(t *testing.T) {
+	pruns, fruns := 0, 0
+	o, err := supervision{}.ladder(context.Background(), "fast", false,
+		primaryScript(&pruns, errLadderInternal), ladderScript(&fruns, nil))
+	if err != nil {
+		t.Fatalf("err %v", err)
+	}
+	if pruns != 1 || fruns != 1 || o.Attempts != 2 {
+		t.Fatalf("pruns %d fruns %d attempts %d", pruns, fruns, o.Attempts)
+	}
+	if o.Engine != "dom" || !errors.Is(o.FallbackReason, errLadderInternal) {
+		t.Fatalf("outcome %+v", o)
+	}
+}
+
+func TestLadderFallbackErrorWins(t *testing.T) {
+	pruns, fruns := 0, 0
+	o, err := supervision{}.ladder(context.Background(), "fast", false,
+		primaryScript(&pruns, errLadderInternal), ladderScript(&fruns, errLadderFatal))
+	if !errors.Is(err, errLadderFatal) {
+		t.Fatalf("err %v, want the oracle's verdict", err)
+	}
+	if o.Engine != "dom" || !errors.Is(o.FallbackReason, errLadderInternal) || o.Attempts != 2 {
+		t.Fatalf("outcome %+v", o)
+	}
+}
+
+func TestLadderFallbackOff(t *testing.T) {
+	pruns, fruns := 0, 0
+	_, err := supervision{fallback: FallbackOff}.ladder(context.Background(), "fast", false,
+		primaryScript(&pruns, errLadderInternal), ladderScript(&fruns, nil))
+	if !errors.Is(err, errLadderInternal) || fruns != 0 {
+		t.Fatalf("err %v fruns %d", err, fruns)
+	}
+}
+
+func TestLadderNonDegradableNotLaddered(t *testing.T) {
+	pruns, fruns := 0, 0
+	o, err := supervision{}.ladder(context.Background(), "fast", false,
+		primaryScript(&pruns, errLadderFatal), ladderScript(&fruns, nil))
+	if !errors.Is(err, errLadderFatal) || fruns != 0 || o.Degraded() {
+		t.Fatalf("err %v fruns %d outcome %+v", err, fruns, o)
+	}
+}
+
+func TestLadderCanceledContextStops(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	pruns, fruns := 0, 0
+	primary := func(context.Context) error {
+		pruns++
+		cancel() // the attempt observes cancellation mid-run
+		return errLadderInternal
+	}
+	_, err := supervision{}.ladder(ctx, "fast", false, primary, ladderScript(&fruns, nil))
+	if !errors.Is(err, errLadderInternal) {
+		t.Fatalf("err %v", err)
+	}
+	if pruns != 1 || fruns != 0 {
+		t.Fatalf("canceled context must stop the fallback: pruns %d fruns %d", pruns, fruns)
+	}
+}
+
+// TestLadderTimeoutAppliesToAttemptContext: a non-atomic primary runs under
+// the deadline, and a fault past the deadline does not ladder; an atomic
+// primary gets the caller's context as is.
+func TestLadderTimeoutAppliesToAttemptContext(t *testing.T) {
+	sup := supervision{timeout: 10 * time.Millisecond}
+	fruns := 0
+	primary := func(ctx context.Context) error {
+		<-ctx.Done() // a hung engine: only the deadline frees it
+		return errLadderInternal
+	}
+	o, err := sup.ladder(context.Background(), "fast", false, primary, ladderScript(&fruns, nil))
+	if !errors.Is(err, errLadderInternal) {
+		t.Fatalf("err %v", err)
+	}
+	if fruns != 0 {
+		t.Fatalf("deadline expiry must not trigger the fallback (fruns %d)", fruns)
+	}
+	if o.Attempts != 1 {
+		t.Fatalf("attempts %d", o.Attempts)
+	}
+
+	type callerKey struct{}
+	ctx := context.WithValue(context.Background(), callerKey{}, "caller")
+	atomicPrimary := func(actx context.Context) error {
+		if actx != ctx {
+			return errors.New("atomic attempt got a derived context")
+		}
+		return nil
+	}
+	if _, err := sup.ladder(ctx, "fast", true, atomicPrimary, nil); err != nil {
+		t.Fatal(err)
+	}
+}

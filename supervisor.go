@@ -10,13 +10,13 @@ import (
 	"time"
 
 	"rsonpath/internal/dom"
-	"rsonpath/internal/supervisor"
 )
 
-// This file is the public face of the execution supervisor (DESIGN.md §10):
-// watchdog deadlines and the degradation ladder from the accelerated
-// engines down to the DOM oracle. The generic machinery lives in
-// internal/supervisor; here it is adapted to Query and QuerySet runs.
+// This file is the execution supervisor (DESIGN.md §10): watchdog deadlines
+// and the degradation ladder from the accelerated engines down to the DOM
+// oracle, the same engine-ladder idea the paper applies when it validates
+// rsonpath against serde-based oracles, promoted from the test harness into
+// the serving path.
 
 // Outcome records how a supervised run settled: how many engine runs it
 // took, which engine produced the delivered result, and — when the
@@ -87,18 +87,64 @@ func (c *config) resolveSupervision() supervision {
 	return supervision{timeout: c.timeout, fallback: c.fallback}
 }
 
-// run runs the ladder under the configured policy, translating the bare
-// context error of an attempt that could not start.
-func (s supervision) run(ctx context.Context, primary supervisor.Attempt, fallback *supervisor.Attempt) (Outcome, error) {
-	so, err := supervisor.Run(ctx, supervisor.Policy{
-		Timeout:     s.timeout,
-		FallbackOff: s.fallback == FallbackOff,
-		Degradable:  degradable,
-	}, primary, fallback)
+// ladder runs primary, one run by the named engine, under the configured
+// deadline, and runs fallback — the DOM oracle, nil when there is no
+// separate one — only when primary failed with an *InternalError while ctx
+// is live, the deadline has not passed and the fallback is on. The primary
+// never re-runs, and cancellation and deadlines never ladder: past either,
+// the fallback does not start, so a deadline cannot be blown further by a
+// slow fallback. The returned error is the error of the attempt that speaks
+// last: the fallback's when it ran (the trusted engine's verdict outranks
+// the primary's fault), the primary's otherwise.
+//
+// An atomic primary (a plane run, a DOM run, a document within one stream
+// window) cannot observe its context once started: it gets ctx as is, with
+// no deadline timer, since the check at its entry is all it can observe.
+// Any other primary gets a context that carries the deadline. The fallback
+// is atomic: the check before it starts is its only one. The closures must
+// reset any output they accumulate at entry, since they share it.
+func (s supervision) ladder(ctx context.Context, engine string, atomic bool,
+	primary func(context.Context) error, fallback func() error) (Outcome, error) {
+	start := time.Now()
+	var deadline time.Time
+	if s.timeout > 0 {
+		deadline = start.Add(s.timeout)
+	}
+	oc := Outcome{Attempts: 1, Engine: engine}
+	err := attempt(ctx, deadline, atomic, primary)
+	if err != nil && fallback != nil && s.fallback != FallbackOff &&
+		degradable(err) && expired(ctx, deadline) == nil {
+		oc.Attempts, oc.Engine, oc.FallbackReason = 2, "dom", err
+		err = fallback()
+	}
+	oc.Duration = time.Since(start)
 	if err == context.Canceled || err == context.DeadlineExceeded {
+		// The bare context error of an attempt that could not start.
 		err = convertErr(err)
 	}
-	return Outcome(so), err
+	return oc, err
+}
+
+// attempt runs the primary if it may start: ctx is live and the clock is
+// short of the deadline (zero: none).
+func attempt(ctx context.Context, deadline time.Time, atomic bool, run func(context.Context) error) error {
+	if err := expired(ctx, deadline); err != nil {
+		return err
+	}
+	if !atomic && !deadline.IsZero() {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, deadline)
+		defer cancel()
+	}
+	return run(ctx)
+}
+
+// expired returns why an attempt may not start, or nil.
+func expired(ctx context.Context, deadline time.Time) error {
+	if err := ctx.Err(); err != nil || deadline.IsZero() || time.Until(deadline) > 0 {
+		return err
+	}
+	return context.DeadlineExceeded
 }
 
 // degradable classifies the errors that trigger the ladder: internal faults
@@ -145,19 +191,13 @@ func (q *Query) runCtx(ctx context.Context, data []byte, emit func(pos int)) err
 	})
 }
 
-// oracleAttempt builds the fallback attempt for one in-memory document, or
-// nil when the query has no separate oracle (it is already EngineDOM). The
-// attempt appends to *buf after its first base entries.
-func (q *Query) oracleAttempt(data []byte, buf *[]int, base int) *supervisor.Attempt {
-	if q.oracle == nil {
-		return nil
-	}
-	return &supervisor.Attempt{Engine: "dom", Atomic: true, Run: func(context.Context) error {
-		*buf = (*buf)[:base]
-		return guardRun("dom", func() error {
-			return q.oracle.Run(data, q.limits.limitEmit(func(pos int) { *buf = append(*buf, pos) }))
-		})
-	}}
+// runOracle runs the query's DOM oracle over one in-memory document,
+// appending its offsets to *buf after the first base entries.
+func (q *Query) runOracle(data []byte, buf *[]int, base int) error {
+	*buf = (*buf)[:base]
+	return guardRun("dom", func() error {
+		return q.oracle.Run(data, q.limits.limitEmit(func(pos int) { *buf = append(*buf, pos) }))
+	})
 }
 
 // runSupervisedOffsets is the shared core of the supervised in-memory entry
@@ -165,11 +205,14 @@ func (q *Query) oracleAttempt(data []byte, buf *[]int, base int) *supervisor.Att
 // dst.
 func (q *Query) runSupervisedOffsets(ctx context.Context, data []byte, dst []int) ([]int, Outcome, error) {
 	buf, base := dst, len(dst)
-	primary := supervisor.Attempt{Engine: q.kind.String(), Atomic: !q.windowed(len(data)), Run: func(actx context.Context) error {
+	var fallback func() error
+	if q.oracle != nil {
+		fallback = func() error { return q.runOracle(data, &buf, base) }
+	}
+	oc, err := q.sup.ladder(ctx, q.kind.String(), !q.windowed(len(data)), func(actx context.Context) error {
 		buf = buf[:base]
 		return q.runCtx(actx, data, func(pos int) { buf = append(buf, pos) })
-	}}
-	oc, err := q.sup.run(ctx, primary, q.oracleAttempt(data, &buf, base))
+	}, fallback)
 	return buf, oc, err
 }
 
@@ -246,7 +289,18 @@ func (q *Query) RunReaderSupervised(ctx context.Context, open func() (io.Reader,
 		return Outcome{Engine: q.kind.String()}, ErrStreamingUnsupported
 	}
 	var buf []int
-	primary := supervisor.Attempt{Engine: q.kind.String(), Run: func(actx context.Context) error {
+	var fallback func() error
+	if q.oracle != nil {
+		fallback = func() error {
+			buf = buf[:0]
+			data, err := q.readAllForOracle(open)
+			if err != nil {
+				return err
+			}
+			return q.runOracle(data, &buf, 0)
+		}
+	}
+	oc, err := q.sup.ladder(ctx, q.kind.String(), false, func(actx context.Context) error {
 		buf = buf[:0]
 		r, err := open()
 		if err != nil {
@@ -256,19 +310,7 @@ func (q *Query) RunReaderSupervised(ctx context.Context, open func() (io.Reader,
 		cr := newCtxReader(actx, r)
 		defer cr.stop()
 		return q.runWindowed(cr, func(pos int) { buf = append(buf, pos) })
-	}}
-	var fb *supervisor.Attempt
-	if q.oracle != nil {
-		fb = &supervisor.Attempt{Engine: "dom", Atomic: true, Run: func(ctx context.Context) error {
-			buf = buf[:0]
-			data, err := q.readAllForOracle(open)
-			if err != nil {
-				return err
-			}
-			return q.oracleAttempt(data, &buf, 0).Run(ctx)
-		}}
-	}
-	oc, err := q.sup.run(ctx, primary, fb)
+	}, fallback)
 	return deliver(oc, err, buf, emit)
 }
 
@@ -329,15 +371,13 @@ func (s *QuerySet) runOracle(data []byte, buf *[]setMatch) error {
 // points, appending the settled attempt's (query, offset) pairs to dst.
 func (s *QuerySet) runSupervisedMatches(ctx context.Context, data []byte, dst []setMatch) ([]setMatch, Outcome, error) {
 	buf, base := dst, len(dst)
-	primary := supervisor.Attempt{Engine: "queryset", Atomic: !windowed(s.window, len(data)), Run: func(actx context.Context) error {
+	oc, err := s.sup.ladder(ctx, "queryset", !windowed(s.window, len(data)), func(actx context.Context) error {
 		buf = buf[:base]
 		return s.runCtx(actx, data, func(query, pos int) { buf = append(buf, setMatch{query: query, pos: pos}) })
-	}}
-	fb := &supervisor.Attempt{Engine: "dom", Atomic: true, Run: func(context.Context) error {
+	}, func() error {
 		buf = buf[:base]
 		return s.runOracle(data, &buf)
-	}}
-	oc, err := s.sup.run(ctx, primary, fb)
+	})
 	return buf, oc, err
 }
 
