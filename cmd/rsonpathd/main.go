@@ -36,9 +36,8 @@
 // immediately, in-flight requests finish under the -drain deadline, then
 // remaining connections are closed forcibly (in cluster mode the workers
 // are then drained one at a time, never two down at once). SIGHUP flushes
-// the caches and closes the fallback breaker without restarting — fanned
-// out to every worker in cluster mode, where it also revives quarantined
-// shards.
+// the caches without restarting — fanned out to every worker in cluster
+// mode, where it also revives quarantined shards.
 package main
 
 import (
@@ -82,7 +81,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		maxConc    = fs.Int("max-concurrency", 0, "admission gate weight capacity (0 = 8 x GOMAXPROCS)")
 		admitQueue = fs.Int("admission-queue", 0, "admission wait-queue depth (0 = 2 x capacity, negative = no queue)")
 		maxBytes2  = fs.Int64("max-inflight-bytes", 0, "summed payload bytes admitted concurrently (0 = default budget, negative = unlimited)")
-		breaker    = fs.Bool("breaker", true, "circuit-break the DOM-oracle fallback when internal faults flood")
 		docBytes   = fs.Int64("doc-cache-bytes", 0, "resident-byte bound on the indexed-document cache (0 = entry-count bound only)")
 		bodyRead   = fs.Duration("body-read-timeout", 30*time.Second, "deadline for reading an admitted request body (0 = none)")
 		parallel   = fs.Int("parallel", 0, "NDJSON worker-pool width (0 = GOMAXPROCS)")
@@ -150,7 +148,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		MaxConcurrency:   *maxConc,
 		AdmissionQueue:   *admitQueue,
 		MaxInflightBytes: *maxBytes2,
-		Breaker:          *breaker,
 		DocCacheBytes:    *docBytes,
 		BodyReadTimeout:  *bodyRead,
 		Workers:          *parallel,
@@ -162,7 +159,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "rsonpathd: listening on %s\n", srv.Addr())
 
-	// SIGHUP: flush caches, close the breaker, keep serving.
+	// SIGHUP: flush caches, keep serving.
 	hup := make(chan os.Signal, 1)
 	signal.Notify(hup, syscall.SIGHUP)
 	defer signal.Stop(hup)
@@ -173,7 +170,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			select {
 			case <-hup:
 				srv.Flush()
-				fmt.Fprintln(stderr, "rsonpathd: SIGHUP: flushed caches and reset admission state")
+				fmt.Fprintln(stderr, "rsonpathd: SIGHUP: flushed caches")
 			case <-hupDone:
 				return
 			}

@@ -185,80 +185,3 @@ func TestGateConcurrentStress(t *testing.T) {
 		t.Fatalf("not drained: %+v", snap)
 	}
 }
-
-// TestBreakerStates drives the full closed → open → half-open → closed
-// cycle with an injected clock.
-func TestBreakerStates(t *testing.T) {
-	now := time.Unix(0, 0)
-	b := NewBreaker(BreakerConfig{
-		Window: 8, Threshold: 3, Cooldown: time.Minute, HalfOpenProbes: 2,
-		Now: func() time.Time { return now },
-	})
-
-	if b.State() != BreakerClosed || !b.Allow() {
-		t.Fatal("breaker must start closed")
-	}
-	// Failures below the threshold keep it closed; successes age them out.
-	b.Record(true)
-	b.Record(true)
-	b.Record(false)
-	if b.State() != BreakerClosed {
-		t.Fatal("tripped below threshold")
-	}
-	b.Record(true) // third failure in the window → open
-	if b.State() != BreakerOpen {
-		t.Fatalf("state = %v, want open", b.State())
-	}
-	if b.Allow() {
-		t.Fatal("open breaker allowed the protected path")
-	}
-	if b.Opens() != 1 {
-		t.Fatalf("opens = %d, want 1", b.Opens())
-	}
-
-	// Cooldown elapses → half-open, probes allowed.
-	now = now.Add(time.Minute)
-	if !b.Allow() {
-		t.Fatal("cooldown elapsed but probe denied")
-	}
-	if b.State() != BreakerHalfOpen {
-		t.Fatalf("state = %v, want half-open", b.State())
-	}
-	// A failed probe re-opens immediately.
-	b.Record(true)
-	if b.State() != BreakerOpen || b.Allow() {
-		t.Fatal("failed probe did not re-open")
-	}
-
-	// Next cooldown: two clean probes close it.
-	now = now.Add(time.Minute)
-	if !b.Allow() {
-		t.Fatal("second cooldown probe denied")
-	}
-	b.Record(false)
-	if b.State() != BreakerHalfOpen {
-		t.Fatalf("state after one probe = %v, want half-open", b.State())
-	}
-	b.Record(false)
-	if b.State() != BreakerClosed {
-		t.Fatalf("state after two probes = %v, want closed", b.State())
-	}
-	// The window was reset on close: old failures don't count.
-	b.Record(true)
-	b.Record(true)
-	if b.State() != BreakerClosed {
-		t.Fatal("stale failures carried across a close")
-	}
-}
-
-// TestBreakerWindowSlides pins the sliding window: failures spaced out by
-// enough successes never accumulate to the threshold.
-func TestBreakerWindowSlides(t *testing.T) {
-	b := NewBreaker(BreakerConfig{Window: 4, Threshold: 3, Cooldown: time.Minute})
-	for i := 0; i < 40; i++ {
-		b.Record(i%4 == 0) // 1 failure per 4 events: at most 1 in any window
-		if b.State() != BreakerClosed {
-			t.Fatalf("event %d: breaker tripped on sparse failures", i)
-		}
-	}
-}

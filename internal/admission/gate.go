@@ -1,16 +1,13 @@
 // Package admission is the daemon's overload-control subsystem: a weighted
 // concurrency gate with a bounded, deadline-aware wait queue and a global
-// in-flight bytes budget (Gate), and a circuit breaker for the supervisor's
-// expensive fallback path (Breaker). The gate is the daemon's only load
+// in-flight bytes budget (Gate). The gate is the daemon's only load
 // shedder: an arrival is admitted, parked briefly in FIFO order, or
-// rejected with a typed error. See DESIGN.md §14 for how rsonpathd threads
-// the two together.
+// rejected with a typed error. See DESIGN.md §14 for how rsonpathd uses it.
 //
 // The package is engine-agnostic on purpose: nothing here knows about JSON,
-// HTTP, or queries. A request is a (weight, bytes) pair and a fallback
-// event is a boolean. The server layer translates its domain into those
-// terms, which keeps both state machines here unit-testable without a
-// socket.
+// HTTP, or queries. A request is a (weight, bytes) pair. The server layer
+// translates its domain into those terms, which keeps the gate unit-testable
+// without a socket.
 package admission
 
 import (

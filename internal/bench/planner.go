@@ -3,7 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
-	"math"
+	"sort"
 	"strings"
 	"time"
 
@@ -50,7 +50,8 @@ var PlannerClasses = []PlannerClass{
 	{"large-dense-r16", "crossref", 1, "$.items.*.DOI", 16},
 }
 
-// PlannerForced is one forced strategy's wall time on a class.
+// PlannerForced is one forced strategy's wall time on a class: the median
+// over the timed rounds.
 type PlannerForced struct {
 	Label       string  `json:"label"`
 	Seconds     float64 `json:"seconds"`
@@ -67,15 +68,18 @@ type PlannerClassResult struct {
 	// Strategy and Rule echo the plan auto chose for this class.
 	Strategy string `json:"strategy"`
 	Rule     string `json:"rule"`
-	// AutoSeconds is the full planner-auto workload: Explain on the class
-	// stats, an index build iff the plan says indexed, then Repeats runs.
+	// AutoSeconds is the median wall time of the full planner-auto
+	// workload: Explain on the class stats, an index build iff the plan
+	// says indexed, then Repeats runs.
 	AutoSeconds float64         `json:"auto_seconds"`
 	Forced      []PlannerForced `json:"forced"`
 	BestForced  string          `json:"best_forced"`
 	WorstForced string          `json:"worst_forced"`
-	// AutoVsBest is auto/best (≤ AutoSlack passes); WorstVsAuto is
-	// worst/auto (≥ WorstMargin on some class proves the planner earns its
-	// keep).
+	// AutoVsBest is the median over rounds of auto/best (≤ AutoSlack
+	// passes); WorstVsAuto is the median of worst/auto (≥ WorstMargin on
+	// some class proves the planner earns its keep). Best is the forced
+	// strategy with the highest median auto/forced ratio, worst the one
+	// with the highest median forced/auto.
 	AutoVsBest  float64 `json:"auto_vs_best"`
 	WorstVsAuto float64 `json:"worst_vs_auto"`
 }
@@ -89,29 +93,62 @@ type PlannerReport struct {
 	BestWorstVsAuto float64 `json:"best_worst_vs_auto"`
 }
 
-// timeWorkload returns best-of-passes wall time of one full workload, after
-// one untimed warm-up — the micro-benchmark convention (see timeGBps): on a
-// shared machine the minimum estimates the undisturbed cost, which keeps
-// the CI smoke run (tiny scale, one sample) out of jitter territory.
-func (h *Harness) timeWorkload(f func() error) (float64, error) {
-	passes := h.Samples
-	if passes < 3 {
-		passes = 3
-	}
-	if err := f(); err != nil {
-		return 0, err
-	}
-	best := math.Inf(1)
-	for i := 0; i < passes; i++ {
-		start := time.Now()
-		if err := f(); err != nil {
-			return 0, err
+// plannerRounds is the least number of timed rounds per class (more with
+// -samples). Each workload of a class is a few milliseconds at CI scale, so
+// one timing of auto against one of its forced twin is a ratio of noise;
+// a median of paired ratios, each taken within one round, is not. At 7
+// rounds the median for a pair running the same code still read above
+// AutoSlack in 2 of 20 CI-scale runs on a 2-vCPU host; at 15, in none of
+// 40.
+const plannerRounds = 15
+
+// plannerWorkload is one timed configuration of a class.
+type plannerWorkload struct {
+	label string
+	run   func() error
+}
+
+// timeRounds runs every workload once untimed, then times each once per
+// round, rotating which one runs first, and returns the per-round seconds
+// by workload.
+func (h *Harness) timeRounds(class string, ws []plannerWorkload) ([][]float64, error) {
+	for _, w := range ws {
+		if err := w.run(); err != nil {
+			return nil, fmt.Errorf("planner %s (%s): %w", class, w.label, err)
 		}
-		if s := time.Since(start).Seconds(); s < best {
-			best = s
+	}
+	secs := make([][]float64, len(ws))
+	for r := 0; r < max(h.Samples, plannerRounds); r++ {
+		for k := range ws {
+			i := (r + k) % len(ws)
+			start := time.Now()
+			if err := ws[i].run(); err != nil {
+				return nil, fmt.Errorf("planner %s (%s): %w", class, ws[i].label, err)
+			}
+			secs[i] = append(secs[i], time.Since(start).Seconds())
 		}
 	}
-	return best, nil
+	return secs, nil
+}
+
+// median returns the median of xs, leaving xs as it is.
+func median(xs []float64) float64 {
+	xs = append([]float64(nil), xs...)
+	sort.Float64s(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
+}
+
+// medianRatio is the median over rounds of num[r]/den[r].
+func medianRatio(num, den []float64) float64 {
+	ratios := make([]float64, len(num))
+	for r := range num {
+		ratios[r] = num[r] / den[r]
+	}
+	return median(ratios)
 }
 
 // plannerScans are the forced cold scans, one per engine.
@@ -173,16 +210,10 @@ func (h *Harness) RunPlanner() (PlannerReport, error) {
 		if pl.Strategy == "indexed" {
 			autoRun = indexWorkload(auto, data, c.Repeats)
 		}
-		if res.AutoSeconds, err = h.timeWorkload(autoRun); err != nil {
-			return rep, fmt.Errorf("planner %s (auto): %w", c.Name, err)
-		}
 
-		// Forced alternatives: each strategy pinned for the whole workload.
-		type forced struct {
-			label string
-			run   func() error
-		}
-		var alts []forced
+		// Auto first, then the forced alternatives: each strategy pinned
+		// for the whole workload.
+		ws := []plannerWorkload{{"auto", autoRun}}
 		for _, v := range plannerScans {
 			q, err := v.Compile(c.Query)
 			if Unsupported(err) {
@@ -192,29 +223,24 @@ func (h *Harness) RunPlanner() (PlannerReport, error) {
 			if err != nil {
 				return rep, fmt.Errorf("planner %s (%s): %w", c.Name, v.Label, err)
 			}
-			alts = append(alts, forced{v.Label, scanWorkload(q, data, c.Repeats)})
+			ws = append(ws, plannerWorkload{v.Label, scanWorkload(q, data, c.Repeats)})
 		}
-		alts = append(alts, forced{"index-always", indexWorkload(auto, data, c.Repeats)})
+		ws = append(ws, plannerWorkload{"index-always", indexWorkload(auto, data, c.Repeats)})
 
-		best, worst := math.Inf(1), 0.0
-		for _, a := range alts {
-			secs, err := h.timeWorkload(a.run)
-			if err != nil {
-				return rep, fmt.Errorf("planner %s (%s): %w", c.Name, a.label, err)
-			}
-			res.Forced = append(res.Forced, PlannerForced{Label: a.label, Seconds: secs})
-			if secs < best {
-				best, res.BestForced = secs, a.label
-			}
-			if secs > worst {
-				worst, res.WorstForced = secs, a.label
-			}
+		secs, err := h.timeRounds(c.Name, ws)
+		if err != nil {
+			return rep, err
 		}
-		if best > 0 {
-			res.AutoVsBest = res.AutoSeconds / best
-		}
-		if res.AutoSeconds > 0 {
-			res.WorstVsAuto = worst / res.AutoSeconds
+		res.AutoSeconds = median(secs[0])
+		for i, w := range ws[1:] {
+			forced := secs[i+1]
+			if r := medianRatio(secs[0], forced); r > res.AutoVsBest {
+				res.AutoVsBest, res.BestForced = r, w.label
+			}
+			if r := medianRatio(forced, secs[0]); r > res.WorstVsAuto {
+				res.WorstVsAuto, res.WorstForced = r, w.label
+			}
+			res.Forced = append(res.Forced, PlannerForced{Label: w.label, Seconds: median(forced)})
 		}
 		if res.AutoVsBest > rep.MaxAutoVsBest {
 			rep.MaxAutoVsBest = res.AutoVsBest

@@ -114,7 +114,7 @@ func TestSkipToCloseAcrossRefills(t *testing.T) {
 			var ok bool
 			err := input.Guard(func() error {
 				in := input.NewBuffered(&chunkReader{data: data, n: 7}, window)
-				s := NewStreamAt(in, 0)
+				s := NewStreamInput(in)
 				got, ok = SkipToClose(s, 1, '{')
 				return nil
 			})

@@ -85,12 +85,12 @@ func skipWalk(s *Stream, idx int, skip uint64) int {
 }
 
 // ScanToClose is a standalone form of SkipToClose over an in-memory
-// document, for callers that keep no Stream (value extraction): it finds
-// the closer matching an open character of the given kind, starting at
-// absolute offset from with relative depth 1. from must lie outside any
-// string (true for every position where a value can start), so a fresh
-// quote state is valid. When ok is false, closePos is the mismatched
-// closer, or len(data) when the document ends first.
+// document, for callers that keep no Stream (value extraction, the ski
+// baseline): it finds the closer matching an open character of the given
+// kind, starting at absolute offset from with relative depth 1. from must
+// lie outside any string (true for every position where a value can
+// start), so a fresh quote state is valid. When ok is false, closePos is
+// the mismatched closer, or len(data) when the document ends first.
 func ScanToClose(data []byte, from int, open byte) (closePos int, ok bool) {
 	s := NewStream(data[from:])
 	p, ok := SkipToClose(s, 0, open)

@@ -75,13 +75,8 @@ func (n *Needle) Label() []byte { return n.pattern[1 : len(n.pattern)-1] }
 // ok is false when no further occurrence exists.
 func SeekLabelPattern(s *Stream, from int, n *Needle) (keyAt, valueAt int, ok bool) {
 	pattern := n.pattern
-	// An occurrence can be a key only when the pattern's closing quote is
-	// not escaped, which depends on the label alone: it is escaped when
-	// the label ends in an odd run of backslashes.
-	keyable := true
-	for i := len(pattern) - 2; i > 0 && pattern[i] == '\\'; i-- {
-		keyable = !keyable
-	}
+	// Whether an occurrence can be a key depends on the label alone.
+	isKey := keyable(n.Label())
 	in := s.Input()
 	chunkSize := in.Window()
 	if chunkSize != 0 {
@@ -149,14 +144,14 @@ refetch:
 					// the label, which bytes.Equal matched up to the
 					// closing quote: verify the colon and the value.
 					cand := pos + ci
-					if keyable {
+					if isKey {
 						if vs, match := valueAfterKey(in, cand+len(pattern)); match {
 							s.JumpTo(vs)
 							return cand, vs, true
 						}
 					}
-					// Not a key (value string, longer key, or escaped
-					// closing quote). Step inside the string and resume;
+					// Not a key (value string, longer key, or a label no
+					// key can spell). Step inside the string and resume;
 					// the parity logic disposes of the rest of it.
 					// Verification touched the input, which may have
 					// invalidated buf: refetch.
@@ -219,6 +214,9 @@ func advanceQuoteState(gap []byte, inString, escaped bool) (after, nextEscaped b
 // immediately followed by an unescaped closing quote and then (after
 // whitespace) a colon. It returns the offset of the value's first byte.
 func verifyKey(in input.Input, q int, label []byte) (valueAt int, ok bool) {
+	if !keyable(label) {
+		return 0, false
+	}
 	end := q + 1 + len(label) // the closing quote, if this is the key
 	got := in.Bytes(q+1, end+1)
 	if len(got) < len(label)+1 || got[len(label)] != '"' {
@@ -227,16 +225,26 @@ func verifyKey(in input.Input, q int, label []byte) (valueAt int, ok bool) {
 	if !bytes.Equal(got[:len(label)], label) {
 		return 0, false
 	}
-	// The closing quote must not be escaped: count the backslashes directly
-	// before it. (Possible only when the label itself ends in backslashes.)
-	bs := 0
-	for i := len(label) - 1; i >= 0 && got[i] == '\\'; i-- {
-		bs++
-	}
-	if bs%2 == 1 {
-		return 0, false
-	}
 	return valueAfterKey(in, end+1)
+}
+
+// keyable reports whether label, compared byte for byte with a key's raw
+// spelling, can be a key at all. No key holds an unescaped quote, and a
+// label that ends in an odd run of backslashes escapes the quote that
+// would close the key.
+func keyable(label []byte) bool {
+	escaped := false
+	for _, b := range label {
+		switch {
+		case escaped:
+			escaped = false
+		case b == '\\':
+			escaped = true
+		case b == '"':
+			return false
+		}
+	}
+	return !escaped
 }
 
 // valueAfterKey checks that, from offset i just past a key's closing

@@ -131,12 +131,6 @@ func NewStreamPlanes(in input.Input, p *Planes) *Stream {
 	return s
 }
 
-// NewStreamAt creates a stream positioned on the block containing pos, with
-// the quote state reconstructed from pos as an anchor. pos must lie outside
-// any string and not be escaped (true for every value boundary), and the
-// bytes shortly before pos must still be retained by the input.
-func NewStreamAt(in input.Input, pos int) *Stream { return newStream(in, pos) }
-
 // newStream creates a cold stream on the block containing the anchor pos
 // and classifies its first window there.
 func newStream(in input.Input, pos int) *Stream {

@@ -13,9 +13,9 @@ import (
 // RunWorker runs one shard's daemon on a unix socket until ctx is cancelled
 // (the supervisor's SIGTERM, typically bound via signal.NotifyContext by the
 // caller), then drains in-flight requests for up to drainTimeout. SIGHUP is
-// handled here — flush caches, reset admission state — so every worker main
-// (the production re-exec, the bench harness's hidden worker mode, the test
-// binaries) gets identical semantics from one implementation.
+// handled here — flush caches — so every worker main (the production
+// re-exec, the bench harness's hidden worker mode, the test binaries) gets
+// identical semantics from one implementation.
 //
 // The socket path is stamped into cfg.Addr; cfg.Shard should already name
 // the shard so /healthz and logs identify which worker answered.

@@ -99,6 +99,10 @@ func New(dfa *automaton.DFA, opts Options) *Engine {
 	return e
 }
 
+// HeadSkips reports that runs skip straight to each occurrence of the
+// query's head label instead of walking from the root.
+func (e *Engine) HeadSkips() bool { return e.headNeedle != nil }
+
 // CompileQuery parses and compiles a query and wraps it in an engine.
 func CompileQuery(query string, opts Options) (*Engine, error) {
 	q, err := jsonpath.Parse(query)

@@ -154,28 +154,6 @@ func TestGuardPassesThroughForeignPanics(t *testing.T) {
 	_ = Guard(func() error { panic("other") })
 }
 
-func TestCursor(t *testing.T) {
-	doc := mkDoc(500)
-	for _, in := range []Input{NewBytes(doc), NewBuffered(&chunkReader{data: doc, n: 13}, 64)} {
-		c := NewCursor(in)
-		for i := 0; i < len(doc); i++ {
-			b, ok := c.ByteAt(i)
-			if !ok || b != doc[i] {
-				t.Fatalf("ByteAt(%d) = %q,%v want %q", i, b, ok, doc[i])
-			}
-		}
-		if _, ok := c.ByteAt(len(doc)); ok {
-			t.Fatal("ByteAt past end reported ok")
-		}
-		if s := c.Slice(400, 410); !bytes.Equal(s, doc[400:410]) {
-			t.Fatalf("Slice wrong: %q", s)
-		}
-		if b, ok := c.ByteAt(405); !ok || b != doc[405] {
-			t.Fatal("ByteAt after Slice wrong")
-		}
-	}
-}
-
 // TestBufferedRelease proves the window-buffer pool round-trip: a released
 // buffer is handed back, with the same backing array, to the next
 // BufferedInput of the same geometry — and never to one of a different

@@ -263,33 +263,10 @@ func (s *Server) requestContext(r *http.Request) (context.Context, context.Cance
 	return r.Context(), func() {}
 }
 
-// allowFallback consults the circuit breaker; record is non-nil exactly
-// when this request's outcome must be fed back (the path was actually
-// used).
-func (s *Server) allowFallback() (allowed bool) {
-	if s.breaker == nil {
-		return true
-	}
-	return s.breaker.Allow()
-}
-
-// recordFallback feeds one protected-path outcome to the breaker. allowed
-// guards against recording denials: only real uses of the ladder count.
-func (s *Server) recordFallback(allowed bool, degraded bool) {
-	if s.breaker != nil && allowed {
-		s.breaker.Record(degraded)
-	}
-}
-
 // serveSingle evaluates one query over the request's document, through the
 // document-index cache when it has this document hot.
 func (s *Server) serveSingle(w http.ResponseWriter, r *http.Request, req *queryRequest, mode string, start time.Time) {
-	allowFB := s.allowFallback()
-	compile := s.compileQuery
-	if !allowFB {
-		compile = s.compileQueryNF
-	}
-	q, err := compile(req.Query)
+	q, err := s.compileQuery(req.Query)
 	if err != nil {
 		s.writeError(w, badQuery(err))
 		return
@@ -329,7 +306,6 @@ func (s *Server) serveSingle(w http.ResponseWriter, r *http.Request, req *queryR
 	} else {
 		oc, err = q.RunSupervised(ctx, doc, emit)
 	}
-	s.recordFallback(allowFB, oc.Degraded())
 	s.noteOutcome(w, oc)
 	if err != nil {
 		s.writeError(w, err)
@@ -366,12 +342,7 @@ func (s *Server) serveSingle(w http.ResponseWriter, r *http.Request, req *queryR
 // pass. Sets run unindexed: the one-pass driver is already the amortization
 // for "many queries, one document".
 func (s *Server) serveSet(w http.ResponseWriter, r *http.Request, req *queryRequest, mode string, start time.Time) {
-	allowFB := s.allowFallback()
-	compile := s.compileSet
-	if !allowFB {
-		compile = s.compileSetNF
-	}
-	set, err := compile(req.Queries)
+	set, err := s.compileSet(req.Queries)
 	if err != nil {
 		s.writeError(w, badQuery(err))
 		return
@@ -386,7 +357,6 @@ func (s *Server) serveSet(w http.ResponseWriter, r *http.Request, req *queryRequ
 	oc, err := set.RunSupervised(ctx, doc, func(query, pos int) {
 		perQuery[query] = append(perQuery[query], pos)
 	})
-	s.recordFallback(allowFB, oc.Degraded())
 	s.noteOutcome(w, oc)
 	if err != nil {
 		s.writeError(w, err)
@@ -467,12 +437,7 @@ func (s *Server) handleLines(w http.ResponseWriter, r *http.Request, start time.
 		s.writeError(w, badRequest("mode must be values, offsets, or count"))
 		return
 	}
-	allowFB := s.allowFallback()
-	compile := s.compileLines
-	if !allowFB {
-		compile = s.compileLinesNF
-	}
-	q, err := compile(src)
+	q, err := s.compileLines(src)
 	if err != nil {
 		s.writeError(w, badQuery(err))
 		return
@@ -480,7 +445,7 @@ func (s *Server) handleLines(w http.ResponseWriter, r *http.Request, start time.
 	s.met.notePlan(q.Explain(rsonpath.DocStats{}).Strategy)
 
 	if streamParam(r) {
-		s.serveLinesStream(w, r, q, allowFB, mode, start)
+		s.serveLinesStream(w, r, q, mode, start)
 		return
 	}
 
@@ -519,7 +484,6 @@ func (s *Server) handleLines(w http.ResponseWriter, r *http.Request, start time.
 		resp.Results = append(resp.Results, res)
 		return nil
 	})
-	s.recordFallback(allowFB, resp.RecordsDegraded > 0)
 	if err != nil {
 		s.writeError(w, err)
 		return

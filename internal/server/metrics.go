@@ -67,7 +67,7 @@ func (m *metrics) observe(d time.Duration) {
 
 // render writes the exposition text. The query-cache and doc-cache gauges
 // are passed in by the server, which owns those structures, as are the
-// admission-subsystem gauges (gate occupancy, breaker state).
+// admission gate's occupancy gauges.
 func (m *metrics) render(w io.Writer, cache cacheGauges, docs docGauges, adm admGauges) {
 	p := func(name string, kind string, v int64) {
 		fmt.Fprintf(w, "# TYPE %s %s\n%s %d\n", name, kind, name, v)
@@ -105,8 +105,6 @@ func (m *metrics) render(w io.Writer, cache cacheGauges, docs docGauges, adm adm
 	p("rsonpathd_admission_weight_capacity", "gauge", adm.capWeight)
 	p("rsonpathd_admission_inflight_bytes", "gauge", adm.usedBytes)
 	p("rsonpathd_admission_bytes_budget", "gauge", adm.bytesBudget)
-	p("rsonpathd_breaker_state", "gauge", int64(adm.breakerState))
-	p("rsonpathd_breaker_opens_total", "counter", adm.breakerOpens)
 	p("rsonpathd_goroutines", "gauge", int64(runtime.NumGoroutine()))
 	p("rsonpathd_plan_scan_total", "counter", m.planScan.Load())
 	p("rsonpathd_plan_indexed_total", "counter", m.planIndexed.Load())
@@ -133,11 +131,9 @@ type docGauges struct {
 	evicted int64
 }
 
-// admGauges is the admission subsystem's point-in-time state.
+// admGauges is the admission gate's point-in-time state.
 type admGauges struct {
 	queueDepth, queueCap   int
 	usedWeight, capWeight  int64
 	usedBytes, bytesBudget int64
-	breakerState           int // 0 closed, 1 half-open, 2 open
-	breakerOpens           int64
 }

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"rsonpath"
-	"rsonpath/internal/admission"
 )
 
 // waitMetric polls /metrics until name reaches want or the timeout expires.
@@ -347,53 +346,6 @@ func (p *plainRunner) RunLinesParallel(io.Reader, int, func(m rsonpath.LineMatch
 
 func (p *plainRunner) Explain(rsonpath.DocStats) rsonpath.Plan {
 	return rsonpath.Plan{Strategy: "scan", Engine: rsonpath.EngineRsonpath, Rule: "test-fake"}
-}
-
-// TestServeBreakerFailFast floods the daemon with degraded outcomes and
-// asserts the circuit breaker opens: requests switch to the fallback-off
-// compile variant (fail fast) instead of paying the DOM oracle on every
-// request, and the breaker's state is visible in /metrics and /healthz.
-func TestServeBreakerFailFast(t *testing.T) {
-	s, url := startServer(t, Config{Breaker: true})
-	s.breaker = admission.NewBreaker(admission.BreakerConfig{
-		Window: 8, Threshold: 3, Cooldown: time.Hour})
-	injected := errors.New("rsonpath: internal error in engine rsonpath: injected fault")
-	s.compileQuery = func(string) (queryRunner, error) {
-		return &degradedRunner{offsets: []int{6}, reason: injected}, nil
-	}
-	s.compileQueryNF = func(string) (queryRunner, error) {
-		return &plainRunner{engine: "fastfail", offsets: []int{6}}, nil
-	}
-
-	req := queryRequest{Query: "$.a", Document: json.RawMessage(`{"a": 7}`), Mode: "count"}
-	// Threshold degraded outcomes trip the breaker...
-	for i := 0; i < 3; i++ {
-		status, qr, _, _ := postQuery(t, url, req)
-		if status != http.StatusOK || qr.Engine != "dom" || !qr.Degraded {
-			t.Fatalf("request %d before trip: status %d engine %q", i, status, qr.Engine)
-		}
-	}
-	// ...after which requests take the fallback-off variant.
-	status, qr, _, _ := postQuery(t, url, req)
-	if status != http.StatusOK || qr.Engine != "fastfail" || qr.Degraded {
-		t.Fatalf("request after trip: status %d engine %q degraded %v, want fastfail", status, qr.Engine, qr.Degraded)
-	}
-	if got := metricValue(t, url, "rsonpathd_breaker_opens_total"); got != 1 {
-		t.Errorf("breaker_opens_total = %d, want 1", got)
-	}
-	if got := metricValue(t, url, "rsonpathd_breaker_state"); got != int64(admission.BreakerOpen) {
-		t.Errorf("breaker_state = %d, want %d (open)", got, admission.BreakerOpen)
-	}
-	hr, err := http.Get(url + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var health healthReport
-	json.NewDecoder(hr.Body).Decode(&health)
-	hr.Body.Close()
-	if health.Breaker != "open" {
-		t.Errorf("healthz breaker = %q, want open", health.Breaker)
-	}
 }
 
 // blockingRunner emits one match, then parks until released — the streaming

@@ -5,9 +5,9 @@
 // degradation per request and in aggregate. See DESIGN.md §12 for the
 // architecture and §14 for the overload model: every request passes the
 // admission gate (weighted concurrency, a bounded deadline-aware wait queue
-// and an in-flight bytes budget) before its body is read, the gate alone
-// sheds overload with 429, and a circuit breaker fast-fails the
-// supervisor's DOM-oracle fallback during fault storms.
+// and an in-flight bytes budget) before its body is read, and the gate alone
+// sheds overload with 429. An internal fault is answered by the
+// supervisor's DOM-oracle fallback unless FallbackOff is set.
 //
 // Endpoints:
 //
@@ -90,12 +90,6 @@ type Config struct {
 	// unlimited. A request over the remaining budget is shed with 429; one
 	// over the whole budget is rejected with 413.
 	MaxInflightBytes int64
-	// Breaker enables the circuit breaker around the supervisor's
-	// DOM-oracle fallback: a flood of internal-fault degradations opens the
-	// breaker and requests compile with the ladder disabled (fail fast)
-	// until a cooldown probe succeeds. Ignored when FallbackOff already
-	// disables the ladder.
-	Breaker bool
 	// BodyReadTimeout bounds reading a request body once admitted, so a
 	// slow-loris client cannot pin an admission slot; 0 disables it.
 	BodyReadTimeout time.Duration
@@ -143,21 +137,14 @@ type Server struct {
 	http     *http.Server
 	lis      net.Listener
 	gate     *admission.Gate
-	breaker  *admission.Breaker // nil unless Config.Breaker (and fallback on)
-	draining atomic.Bool        // set by Shutdown; /healthz answers 503
+	draining atomic.Bool // set by Shutdown; /healthz answers 503
 
 	// compileQuery/compileLines/compileSet produce the runner for a request;
-	// the defaults resolve through the compiled-query cache. The NF variants
-	// compile the same query with the degradation ladder off — the breaker's
-	// fail-fast path — and are distinct cache entries (the cache keys by
-	// option set). Tests replace them to inject faults and forced
-	// degradations.
-	compileQuery   func(src string) (queryRunner, error)
-	compileLines   func(src string) (queryRunner, error)
-	compileSet     func(queries []string) (setRunner, error)
-	compileQueryNF func(src string) (queryRunner, error)
-	compileLinesNF func(src string) (queryRunner, error)
-	compileSetNF   func(queries []string) (setRunner, error)
+	// the defaults resolve through the compiled-query cache. Tests replace
+	// them to inject faults and forced degradations.
+	compileQuery func(src string) (queryRunner, error)
+	compileLines func(src string) (queryRunner, error)
+	compileSet   func(queries []string) (setRunner, error)
 }
 
 // New builds a Server from cfg. The compiled-query cache, the document
@@ -189,35 +176,20 @@ func New(cfg Config) *Server {
 			BytesBudget: cfg.MaxInflightBytes,
 		}),
 	}
-	if cfg.Breaker && !cfg.FallbackOff {
-		s.breaker = admission.NewBreaker(admission.BreakerConfig{})
-	}
 
 	// Two option sets: requests over a buffered document take their deadline
 	// from the request context (so the indexed fast path stays available),
 	// while NDJSON records run inside the worker pool, which supervises each
-	// record with the compiled-in watchdog. Each also has a fallback-off
-	// twin for the breaker's fail-fast mode.
+	// record with the compiled-in watchdog.
 	base := s.baseOptions()
 	lines := base
 	if cfg.Timeout > 0 {
-		lines = withOpts(base, rsonpath.WithTimeout(cfg.Timeout))
+		// A full slice expression, so lines never shares base's array.
+		lines = append(base[:len(base):len(base)], rsonpath.WithTimeout(cfg.Timeout))
 	}
 	s.compileQuery = func(src string) (queryRunner, error) { return s.cache.Get(src, base...) }
 	s.compileLines = func(src string) (queryRunner, error) { return s.cache.Get(src, lines...) }
 	s.compileSet = func(queries []string) (setRunner, error) { return s.cache.GetSet(queries, base...) }
-	if cfg.FallbackOff {
-		// The ladder is already off; the NF variants are the same queries.
-		s.compileQueryNF = s.compileQuery
-		s.compileLinesNF = s.compileLines
-		s.compileSetNF = s.compileSet
-	} else {
-		baseNF := withOpts(base, rsonpath.WithFallback(rsonpath.FallbackOff))
-		linesNF := withOpts(lines, rsonpath.WithFallback(rsonpath.FallbackOff))
-		s.compileQueryNF = func(src string) (queryRunner, error) { return s.cache.Get(src, baseNF...) }
-		s.compileLinesNF = func(src string) (queryRunner, error) { return s.cache.Get(src, linesNF...) }
-		s.compileSetNF = func(queries []string) (setRunner, error) { return s.cache.GetSet(queries, baseNF...) }
-	}
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/query", s.handleQuery)
@@ -281,16 +253,13 @@ func (w *panicWriter) Write(b []byte) (int, error) {
 // flush/deadline support through the panic tracker.
 func (w *panicWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
-// Flush empties the compiled-query and document-index caches and returns the
-// fallback breaker to closed. Wired to SIGHUP in cmd/rsonpathd: the
-// operator's "forget what you have learned" knob after a deploy or a data
-// change, logged and counted in rsonpathd_cache_flushes_total.
+// Flush empties the compiled-query and document-index caches. Wired to
+// SIGHUP in cmd/rsonpathd: the operator's "forget what you have learned"
+// knob after a deploy or a data change, logged and counted in
+// rsonpathd_cache_flushes_total.
 func (s *Server) Flush() {
 	s.cache.Purge()
 	s.docs.purge()
-	if s.breaker != nil {
-		s.breaker.Reset()
-	}
 	s.met.flushes.Add(1)
 }
 
@@ -313,13 +282,6 @@ func (s *Server) baseOptions() []rsonpath.Option {
 		opts = append(opts, rsonpath.WithFallback(rsonpath.FallbackOff))
 	}
 	return opts
-}
-
-// withOpts copies opts and appends extra, so option-set variants never
-// alias each other's backing arrays.
-func withOpts(opts []rsonpath.Option, extra ...rsonpath.Option) []rsonpath.Option {
-	out := make([]rsonpath.Option, 0, len(opts)+len(extra))
-	return append(append(out, opts...), extra...)
 }
 
 // Handler returns the daemon's HTTP handler, for embedding in a larger mux
@@ -385,10 +347,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // an overloaded daemon is alive and shedding by design, and failing the
 // liveness probe under load would turn an overload into an outage.
 type healthReport struct {
-	Status  string `json:"status"` // "ok", "overloaded" (wait queue full), or "draining"
-	Shard   string `json:"shard,omitempty"`
-	Breaker string `json:"breaker"`
-	Gate    struct {
+	Status string `json:"status"` // "ok", "overloaded" (wait queue full), or "draining"
+	Shard  string `json:"shard,omitempty"`
+	Gate   struct {
 		Used        int64 `json:"used"`
 		Capacity    int64 `json:"capacity"`
 		Queue       int   `json:"queue"`
@@ -405,10 +366,7 @@ type healthReport struct {
 // The 503 is what health-gates cluster membership during rolling drains.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	snap := s.gate.Snapshot()
-	rep := healthReport{Status: "ok", Shard: s.cfg.Shard, Breaker: "off"}
-	if s.breaker != nil {
-		rep.Breaker = s.breaker.State().String()
-	}
+	rep := healthReport{Status: "ok", Shard: s.cfg.Shard}
 	rep.Gate.Used = snap.Used
 	rep.Gate.Capacity = snap.Capacity
 	rep.Gate.Queue = snap.QueueDepth
@@ -438,10 +396,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		capWeight:   snap.Capacity,
 		usedBytes:   snap.Bytes,
 		bytesBudget: snap.BytesBudget,
-	}
-	if s.breaker != nil {
-		adm.breakerState = int(s.breaker.State())
-		adm.breakerOpens = s.breaker.Opens()
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.met.render(w,

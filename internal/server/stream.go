@@ -186,7 +186,7 @@ func (s *Server) serveSingleStream(w http.ResponseWriter, r *http.Request, req *
 // delivers it, so an NDJSON bulk response begins before the batch finishes
 // and never holds the whole result set. Count mode streams only the "done"
 // trailer — the point of count mode is the aggregate.
-func (s *Server) serveLinesStream(w http.ResponseWriter, r *http.Request, q queryRunner, allowFB bool, mode string, start time.Time) {
+func (s *Server) serveLinesStream(w http.ResponseWriter, r *http.Request, q queryRunner, mode string, start time.Time) {
 	sw := newStreamWriter(w)
 	var count, matched, failed, degraded int
 	err := q.RunLinesParallel(r.Body, s.cfg.Workers, func(m rsonpath.LineMatch) error {
@@ -222,7 +222,6 @@ func (s *Server) serveLinesStream(w http.ResponseWriter, r *http.Request, q quer
 		}
 		return sw.frame(&streamFrame{Record: &res})
 	})
-	s.recordFallback(allowFB, degraded > 0)
 	if err == nil {
 		err = sw.err
 	}

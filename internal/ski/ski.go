@@ -7,14 +7,12 @@
 // wildcard steps into every entry of an array but not into the fields of an
 // object (§1.1). Descendant and index selectors are rejected at
 // compilation. Irrelevant values are fast-forwarded with the bit-parallel
-// bracket counting of classifier.SkipToClose, and once a label step has
+// bracket counting of classifier.ScanToClose, and once a label step has
 // matched, the remaining siblings are fast-forwarded to the enclosing
 // closer — the skipping repertoire the paper credits JSONSki with.
 //
-// Byte access goes through an input.Cursor and every fast-forward scans
-// strictly forward (sibling skipping resumes from the end of the matched
-// member, not from the object's opening), so the same code serves both
-// in-memory documents and window-bounded streaming inputs.
+// It runs over in-memory documents only: it is a benchmark baseline, not a
+// library engine.
 package ski
 
 import (
@@ -86,61 +84,51 @@ func (e *Engine) Matches(data []byte) ([]int, error) {
 }
 
 // Run streams an in-memory document, invoking emit for every match.
-func (e *Engine) Run(data []byte, emit func(pos int)) error {
-	return e.RunInput(input.NewBytes(data), emit)
-}
-
-// RunInput is Run over any input source; over a window-bounded input the
-// baseline's memory stays bounded by the window.
 //
 // Note on depth limits: ski's recursion is bounded by the query length, not
 // the document depth (irrelevant subtrees are fast-forwarded with the
 // bit-parallel depth scan, which uses O(1) memory), so the engine is exempt
 // from the depth limit the stack-bearing engines enforce.
-func (e *Engine) RunInput(in input.Input, emit func(pos int)) error {
-	return input.Guard(func() error {
-		r := &run{e: e, cur: input.NewCursor(in), emit: emit}
-		pos := r.skipWS(0)
-		c, ok := r.cur.ByteAt(pos)
-		if !ok {
-			return r.errf(0, "empty input")
+func (e *Engine) Run(data []byte, emit func(pos int)) error {
+	r := &run{e: e, data: data, emit: emit}
+	pos := r.skipWS(0)
+	c, ok := r.at(pos)
+	if !ok {
+		return r.errf(0, "empty input")
+	}
+	if c != '{' && c != '[' {
+		// Atomic root: validate the lone scalar and reject trailing
+		// bytes; no step can descend into it.
+		end, bad := input.AtomSpan(input.NewBytes(data), pos)
+		if bad != "" {
+			return r.errf(end, bad)
 		}
-		if c != '{' && c != '[' {
-			// Atomic root: validate the lone scalar and reject trailing
-			// bytes; no step can descend into it.
-			end, bad := input.AtomSpan(in, pos)
-			r.cur.Invalidate()
-			if bad != "" {
-				return r.errf(end, bad)
-			}
-			if p, found := input.TrailingContent(in, end); found {
-				return r.errf(p, "trailing content")
-			}
-			if len(e.steps) == 0 {
-				emit(pos)
-			}
-			return nil
+		if err := r.checkTrailing(end); err != nil {
+			return err
 		}
 		if len(e.steps) == 0 {
 			emit(pos)
-			end, err := r.skipValue(pos)
-			if err != nil {
-				return err
-			}
-			return r.checkTrailing(end)
 		}
-		end, err := r.value(pos, 0)
+		return nil
+	}
+	if len(e.steps) == 0 {
+		emit(pos)
+		end, err := r.skipValue(pos)
 		if err != nil {
 			return err
 		}
 		return r.checkTrailing(end)
-	})
+	}
+	end, err := r.value(pos, 0)
+	if err != nil {
+		return err
+	}
+	return r.checkTrailing(end)
 }
 
 // checkTrailing rejects non-whitespace bytes after the root value.
 func (r *run) checkTrailing(end int) error {
-	r.cur.Invalidate()
-	if p, found := input.TrailingContent(r.cur.Input(), end); found {
+	if p := r.skipWS(end); p < len(r.data) {
 		return r.errf(p, "trailing content")
 	}
 	return nil
@@ -148,8 +136,16 @@ func (r *run) checkTrailing(end int) error {
 
 type run struct {
 	e    *Engine
-	cur  input.Cursor
+	data []byte
 	emit func(int)
+}
+
+// at returns the document byte at offset i; ok is false past the end.
+func (r *run) at(i int) (byte, bool) {
+	if i < len(r.data) {
+		return r.data[i], true
+	}
+	return 0, false
 }
 
 func (r *run) errf(pos int, format string, args ...interface{}) error {
@@ -160,7 +156,7 @@ func (r *run) errf(pos int, format string, args ...interface{}) error {
 // just past the value. k < len(steps): the caller reports final matches.
 func (r *run) value(pos, k int) (end int, err error) {
 	st := r.e.steps[k]
-	switch c, _ := r.cur.ByteAt(pos); c {
+	switch c, _ := r.at(pos); c {
 	case '{':
 		if st.wildcard {
 			// JSONSki wildcard semantics: objects are not traversed.
@@ -193,26 +189,24 @@ func (r *run) dispatch(pos, k int) (end int, err error) {
 func (r *run) object(pos, k int) (end int, err error) {
 	label := r.e.steps[k].label
 	i := r.skipWS(pos + 1)
-	if b, ok := r.cur.ByteAt(i); ok && b == '}' {
+	if b, ok := r.at(i); ok && b == '}' {
 		return i + 1, nil
 	}
 	for {
-		if b, ok := r.cur.ByteAt(i); !ok || b != '"' {
+		if b, ok := r.at(i); !ok || b != '"' {
 			return 0, r.errf(i, "expected object key")
 		}
 		key, j, err := r.scanString(i)
 		if err != nil {
 			return 0, err
 		}
-		// Compare before the cursor moves again: the key slice aliases the
-		// input's window.
 		match := bytesEqual(key, label)
 		j = r.skipWS(j)
-		if b, ok := r.cur.ByteAt(j); !ok || b != ':' {
+		if b, ok := r.at(j); !ok || b != ':' {
 			return 0, r.errf(j, "expected ':'")
 		}
 		v := r.skipWS(j + 1)
-		if _, ok := r.cur.ByteAt(v); !ok {
+		if _, ok := r.at(v); !ok {
 			return 0, r.errf(v, "missing value")
 		}
 		if match {
@@ -224,7 +218,7 @@ func (r *run) object(pos, k int) (end int, err error) {
 			// object's closer (JSONSki's sibling skipping). The depth scan
 			// starts just past the matched member — one unmatched opening
 			// brace up — so it only ever moves forward.
-			close, ok := r.scanToClose(after, '{')
+			close, ok := classifier.ScanToClose(r.data, after, '{')
 			if !ok {
 				return 0, r.errf(pos, "unterminated object")
 			}
@@ -235,7 +229,7 @@ func (r *run) object(pos, k int) (end int, err error) {
 			return 0, err
 		}
 		i = r.skipWS(i)
-		b, ok := r.cur.ByteAt(i)
+		b, ok := r.at(i)
 		if !ok {
 			return 0, r.errf(i, "unterminated object")
 		}
@@ -254,11 +248,11 @@ func (r *run) object(pos, k int) (end int, err error) {
 // (wildcard step).
 func (r *run) array(pos, k int) (end int, err error) {
 	i := r.skipWS(pos + 1)
-	if b, ok := r.cur.ByteAt(i); ok && b == ']' {
+	if b, ok := r.at(i); ok && b == ']' {
 		return i + 1, nil
 	}
 	for {
-		if _, ok := r.cur.ByteAt(i); !ok {
+		if _, ok := r.at(i); !ok {
 			return 0, r.errf(i, "unterminated array")
 		}
 		i, err = r.dispatch(i, k+1)
@@ -266,7 +260,7 @@ func (r *run) array(pos, k int) (end int, err error) {
 			return 0, err
 		}
 		i = r.skipWS(i)
-		b, ok := r.cur.ByteAt(i)
+		b, ok := r.at(i)
 		if !ok {
 			return 0, r.errf(i, "unterminated array")
 		}
@@ -284,9 +278,9 @@ func (r *run) array(pos, k int) (end int, err error) {
 // skipValue fast-forwards over the value at pos and returns the offset just
 // past it; composite values use the bit-parallel depth scan.
 func (r *run) skipValue(pos int) (end int, err error) {
-	switch c, _ := r.cur.ByteAt(pos); {
+	switch c, _ := r.at(pos); {
 	case c == '{' || c == '[':
-		close, ok := r.scanToClose(pos+1, c)
+		close, ok := classifier.ScanToClose(r.data, pos+1, c)
 		if !ok {
 			return 0, r.errf(pos, "unterminated value")
 		}
@@ -296,7 +290,7 @@ func (r *run) skipValue(pos int) (end int, err error) {
 	default:
 		i := pos
 		for {
-			b, ok := r.cur.ByteAt(i)
+			b, ok := r.at(i)
 			if !ok {
 				return i, nil
 			}
@@ -309,31 +303,19 @@ func (r *run) skipValue(pos int) (end int, err error) {
 	}
 }
 
-// scanToClose runs the depth classifier from absolute offset from (outside
-// any string, relative depth 1) to the matching closer of an open character
-// of the given kind. The classifier stream shares the cursor's input, so
-// the cursor's cache is invalidated afterwards.
-func (r *run) scanToClose(from int, open byte) (closePos int, ok bool) {
-	s := classifier.NewStreamAt(r.cur.Input(), from)
-	p, ok := classifier.SkipToClose(s, from, open)
-	s.Release()
-	r.cur.Invalidate()
-	return p, ok
-}
-
 // scanString consumes the string starting at the quote at pos, returning
 // its raw contents and the offset just past the closing quote. The slice
-// aliases the input's window and is valid only until the cursor moves.
+// aliases the document.
 func (r *run) scanString(pos int) (raw []byte, end int, err error) {
 	i := pos + 1
 	for {
-		b, ok := r.cur.ByteAt(i)
+		b, ok := r.at(i)
 		if !ok {
 			return nil, 0, errUnterminatedString(pos)
 		}
 		switch b {
 		case '"':
-			return r.cur.Slice(pos+1, i), i + 1, nil
+			return r.data[pos+1 : i], i + 1, nil
 		case '\\':
 			i += 2
 		default:
@@ -349,12 +331,11 @@ func errUnterminatedString(pos int) error {
 }
 
 // skipString consumes the string starting at the quote at pos without
-// materializing its contents, so value strings longer than a streaming
-// window pass through unhindered.
+// materializing its contents.
 func (r *run) skipString(pos int) (end int, err error) {
 	i := pos + 1
 	for {
-		b, ok := r.cur.ByteAt(i)
+		b, ok := r.at(i)
 		if !ok {
 			return 0, errUnterminatedString(pos)
 		}
@@ -371,7 +352,7 @@ func (r *run) skipString(pos int) (end int, err error) {
 
 func (r *run) skipWS(i int) int {
 	for {
-		b, ok := r.cur.ByteAt(i)
+		b, ok := r.at(i)
 		if !ok {
 			return i
 		}

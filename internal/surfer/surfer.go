@@ -9,9 +9,8 @@
 // reasonably strictly. Differential tests hold it to the same oracle as the
 // main engine; in benchmarks it provides the "no acceleration" floor.
 //
-// Byte access goes through an input.Cursor, so the same code serves both
-// in-memory documents (the cursor caches the whole slice, keeping the
-// original indexing speed) and window-bounded streaming inputs.
+// It runs over in-memory documents only: it is a benchmark baseline, not a
+// library engine.
 package surfer
 
 import (
@@ -20,7 +19,6 @@ import (
 
 	"rsonpath/internal/automaton"
 	"rsonpath/internal/errs"
-	"rsonpath/internal/input"
 	"rsonpath/internal/jsonpath"
 )
 
@@ -86,7 +84,7 @@ type frame struct {
 
 type run struct {
 	e             *Engine
-	cur           input.Cursor
+	data          []byte
 	pos           int
 	emit          func(int)
 	trailingComma bool
@@ -96,39 +94,39 @@ func (r *run) errf(format string, args ...interface{}) error {
 	return &errs.Malformed{Sentinel: ErrMalformed, Offset: r.pos, Kind: fmt.Sprintf(format, args...)}
 }
 
-// Run streams an in-memory document, invoking emit for every match.
-func (e *Engine) Run(data []byte, emit func(pos int)) error {
-	return e.RunInput(input.NewBytes(data), emit)
+// at returns the document byte at offset i; ok is false past the end.
+func (r *run) at(i int) (byte, bool) {
+	if i < len(r.data) {
+		return r.data[i], true
+	}
+	return 0, false
 }
 
-// RunInput is Run over any input source; over a window-bounded input the
-// baseline's memory stays bounded by the window.
-func (e *Engine) RunInput(in input.Input, emit func(pos int)) error {
-	return input.Guard(func() error {
-		r := &run{e: e, cur: input.NewCursor(in), emit: emit}
-		r.ws()
-		if _, ok := r.cur.ByteAt(r.pos); !ok {
-			return r.errf("empty input")
-		}
-		init := e.dfa.Initial
-		if e.dfa.States[init].Accepting {
-			emit(r.pos)
-		}
-		if err := r.value(init); err != nil {
-			return err
-		}
-		r.ws()
-		if _, ok := r.cur.ByteAt(r.pos); ok {
-			return r.errf("trailing content")
-		}
-		return nil
-	})
+// Run streams an in-memory document, invoking emit for every match.
+func (e *Engine) Run(data []byte, emit func(pos int)) error {
+	r := &run{e: e, data: data, emit: emit}
+	r.ws()
+	if _, ok := r.at(r.pos); !ok {
+		return r.errf("empty input")
+	}
+	init := e.dfa.Initial
+	if e.dfa.States[init].Accepting {
+		emit(r.pos)
+	}
+	if err := r.value(init); err != nil {
+		return err
+	}
+	r.ws()
+	if _, ok := r.at(r.pos); ok {
+		return r.errf("trailing content")
+	}
+	return nil
 }
 
 // value consumes one JSON value; state is the automaton state valid for the
 // container's children (matches were already reported by the caller).
 func (r *run) value(state automaton.StateID) error {
-	switch c, _ := r.cur.ByteAt(r.pos); {
+	switch c, _ := r.at(r.pos); {
 	case c == '{':
 		return r.container(state, true)
 	case c == '[':
@@ -159,7 +157,7 @@ func (r *run) container(state automaton.StateID, isObj bool) error {
 	for len(stack) > 0 {
 		top := &stack[len(stack)-1]
 		r.ws()
-		b, ok := r.cur.ByteAt(r.pos)
+		b, ok := r.at(r.pos)
 		if !ok {
 			return r.errf("unterminated container")
 		}
@@ -191,11 +189,9 @@ func (r *run) container(state automaton.StateID, isObj bool) error {
 			if err != nil {
 				return err
 			}
-			// Take the transition before the cursor moves again: the key
-			// slice aliases the input's window.
 			target = dfa.Transition(top.state, key)
 			r.ws()
-			if c, ok := r.cur.ByteAt(r.pos); !ok || c != ':' {
+			if c, ok := r.at(r.pos); !ok || c != ':' {
 				return r.errf("expected ':'")
 			}
 			r.pos++
@@ -210,7 +206,7 @@ func (r *run) container(state automaton.StateID, isObj bool) error {
 		top.idx++
 		r.trailingComma = false
 
-		c, ok := r.cur.ByteAt(r.pos)
+		c, ok := r.at(r.pos)
 		if !ok {
 			return r.errf("missing value")
 		}
@@ -239,7 +235,7 @@ func (r *run) container(state automaton.StateID, isObj bool) error {
 // separator consumes an optional comma after a finished member/entry.
 func (r *run) separator(top *frame) error {
 	r.ws()
-	if b, ok := r.cur.ByteAt(r.pos); ok && b == ',' {
+	if b, ok := r.at(r.pos); ok && b == ',' {
 		r.pos++
 		r.trailingComma = true
 	}
@@ -248,7 +244,7 @@ func (r *run) separator(top *frame) error {
 
 func (r *run) ws() {
 	for {
-		b, ok := r.cur.ByteAt(r.pos)
+		b, ok := r.at(r.pos)
 		if !ok {
 			return
 		}
@@ -262,19 +258,18 @@ func (r *run) ws() {
 }
 
 // str consumes a string literal, returning the raw bytes between quotes.
-// The slice aliases the input's window and is valid only until the cursor
-// moves; the window bounds the longest key a streaming run can transport.
+// The slice aliases the document.
 func (r *run) str() ([]byte, error) {
 	r.pos++ // opening quote
 	start := r.pos
 	for {
-		b, ok := r.cur.ByteAt(r.pos)
+		b, ok := r.at(r.pos)
 		if !ok {
 			return nil, r.errf("unterminated string")
 		}
 		switch b {
 		case '"':
-			raw := r.cur.Slice(start, r.pos)
+			raw := r.data[start:r.pos]
 			r.pos++
 			return raw, nil
 		case '\\':
@@ -285,12 +280,11 @@ func (r *run) str() ([]byte, error) {
 	}
 }
 
-// strSkip consumes a string literal without materializing its contents, so
-// value strings longer than a streaming window pass through unhindered.
+// strSkip consumes a string literal without materializing its contents.
 func (r *run) strSkip() error {
 	r.pos++ // opening quote
 	for {
-		b, ok := r.cur.ByteAt(r.pos)
+		b, ok := r.at(r.pos)
 		if !ok {
 			return r.errf("unterminated string")
 		}
@@ -308,7 +302,7 @@ func (r *run) strSkip() error {
 
 func (r *run) lit(s string) error {
 	for k := 0; k < len(s); k++ {
-		if b, ok := r.cur.ByteAt(r.pos + k); !ok || b != s[k] {
+		if b, ok := r.at(r.pos + k); !ok || b != s[k] {
 			return r.errf("invalid literal")
 		}
 	}
@@ -319,7 +313,7 @@ func (r *run) lit(s string) error {
 func (r *run) number() error {
 	start := r.pos
 	for {
-		b, ok := r.cur.ByteAt(r.pos)
+		b, ok := r.at(r.pos)
 		if !ok {
 			return nil
 		}

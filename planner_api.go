@@ -1,10 +1,6 @@
 package rsonpath
 
-import (
-	"fmt"
-
-	"rsonpath/internal/jsonpath"
-)
+import "fmt"
 
 // This file is the execution-plan layer (DESIGN.md §13). A plan decides two
 // things: whether the accelerated engine scans the raw bytes or serves
@@ -98,14 +94,4 @@ func decide(kind EngineKind, headSkip, watchdog bool, stats DocStats) Plan {
 	return Plan{Strategy: "indexed", Rule: "index-amortizes",
 		Rationale: fmt.Sprintf("%d expected runs over the same document repay the one-time index build (break-even ~%d)",
 			stats.ExpectedRuns, IndexAmortizeRuns)}
-}
-
-// headSkips reports that the accelerated engine head-skips the query: its
-// first selector is a descendant with at least one concrete label.
-func headSkips(parsed *jsonpath.Query) bool {
-	if len(parsed.Selectors) == 0 {
-		return false
-	}
-	first := &parsed.Selectors[0]
-	return first.Descendant && len(first.Labels) > 0
 }

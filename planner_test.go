@@ -78,7 +78,7 @@ func TestScanRules(t *testing.T) {
 	if p := MustCompile("$..a").Explain(DocStats{ExpectedRuns: 100}); p.Rule != "head-skip" {
 		t.Fatalf("$..a plan = %+v, want head-skip", p)
 	}
-	for _, query := range []string{"$.a..b", "$..*", "$..[0]", "$.a"} {
+	for _, query := range []string{"$.a..b", "$..*", "$..[0]", "$.a", "$..['a','b']"} {
 		if p := MustCompile(query).Explain(DocStats{ExpectedRuns: 100}); p.Rule != "index-amortizes" {
 			t.Fatalf("%s plan = %+v, want index-amortizes (no head-skip)", query, p)
 		}
@@ -346,8 +346,8 @@ func TestQuerySetExplain(t *testing.T) {
 	if p := set.Explain(DocStats{}); p.Strategy != "scan" || p.Rule != "no-index" || p.Engine != EngineRsonpath {
 		t.Fatalf("set plan = %+v", p)
 	}
-	if p := set.Explain(DocStats{ExpectedRuns: 100}); p.Strategy != "scan" || p.Rule != "head-skip" {
-		t.Fatalf("head-skip set plan with repeats = %+v", p)
+	if p := set.Explain(DocStats{ExpectedRuns: 100}); p.Strategy != "indexed" || p.Rule != "index-amortizes" {
+		t.Fatalf("set plan with repeats = %+v (a set never head-skips)", p)
 	}
 	if p := set.Explain(DocStats{Indexed: true}); p.Strategy != "indexed" {
 		t.Fatalf("set plan with index = %+v", p)

@@ -45,11 +45,6 @@ type QuerySet struct {
 	window int // RunReader window size; 0 = DefaultStreamWindow
 	limits limits
 	sup    supervision
-
-	// headSkip reports that every member head-skips, so the shared pass
-	// does. The pass always runs the accelerated engine, so the set's plan
-	// is the scan-vs-planes choice, never an engine choice.
-	headSkip bool
 }
 
 // CompileSet parses and compiles a set of JSONPath expressions for one-pass
@@ -84,26 +79,16 @@ func CompileSet(queries []string, opts ...Option) (*QuerySet, error) {
 	lim := c.resolveLimits()
 	set := engine.NewSet(dfas, lim.maxDepth, lim.maxDocBytes)
 	return &QuerySet{sources: sources, parsed: parsedAll, set: set, window: c.window,
-		limits: lim, sup: c.resolveSupervision(), headSkip: allHeadSkip(parsedAll)}, nil
-}
-
-// allHeadSkip reports that every member head-skips: only then can the
-// shared pass head-skip.
-func allHeadSkip(parsedAll []*jsonpath.Query) bool {
-	for _, parsed := range parsedAll {
-		if !headSkips(parsed) {
-			return false
-		}
-	}
-	return len(parsedAll) > 0
+		limits: lim, sup: c.resolveSupervision()}, nil
 }
 
 // Explain returns the execution plan the set would follow for a run over a
 // document with the given stats; see Query.Explain. The engine is always
 // EngineRsonpath — the shared one-pass driver — so the plan varies only in
-// the scan-vs-planes choice.
+// the scan-vs-planes choice. A set never head-skips: its pass always
+// streams from the root.
 func (s *QuerySet) Explain(stats DocStats) Plan {
-	return decide(EngineRsonpath, s.headSkip, s.sup.timeout > 0, stats)
+	return decide(EngineRsonpath, false, s.sup.timeout > 0, stats)
 }
 
 // MustCompileSet is CompileSet that panics on error, for fixed query sets.

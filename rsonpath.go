@@ -99,7 +99,8 @@ type Query struct {
 	// internal faults; nil when the query is already EngineDOM.
 	oracle *domRunner
 	// headSkip reports that the accelerated engine head-skips this query,
-	// one of the facts the plan decides from (planner_api.go).
+	// as the compiled engine decided; one of the facts the plan decides
+	// from (planner_api.go).
 	headSkip bool
 }
 
@@ -118,7 +119,7 @@ func Compile(query string, opts ...Option) (*Query, error) {
 	}
 	lim := c.resolveLimits()
 	q := &Query{source: query, parsed: parsed, kind: c.kind, window: c.window,
-		limits: lim, sup: c.resolveSupervision(), headSkip: headSkips(parsed)}
+		limits: lim, sup: c.resolveSupervision()}
 	if c.kind != EngineDOM {
 		q.oracle = &domRunner{query: parsed, semantics: dom.NodeSemantics, maxDepth: lim.maxDepth}
 	}
@@ -143,10 +144,11 @@ func Compile(query string, opts ...Option) (*Query, error) {
 		var dfa *automaton.DFA
 		dfa, err = automaton.Compile(parsed, automaton.Options{})
 		if err == nil {
-			q.run = engine.New(dfa, engine.Options{
+			e := engine.New(dfa, engine.Options{
 				MaxDepth:    lim.maxDepth,
 				MaxDocBytes: lim.maxDocBytes,
 			})
+			q.run, q.headSkip = e, e.HeadSkips()
 		}
 	default:
 		err = fmt.Errorf("rsonpath: unknown engine %v", c.kind)
